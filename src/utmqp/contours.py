@@ -31,7 +31,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Union
 
 import numpy as np
 
@@ -154,9 +153,6 @@ class CircularArc:
             return abs(r - self.radius)
         ends = (self.point(0.0), self.point(1.0))
         return min(abs(lam - e) for e in ends)
-
-
-Segment = Union[Ray, LineSegment, CircularArc]
 
 
 @dataclass(frozen=True)

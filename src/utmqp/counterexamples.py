@@ -39,7 +39,6 @@ from .contours import indented_line
 from .errors import InvalidParameterError, RecipeDegenerateError
 from .profiles import DataProfile, ProblemSpec, zero_forcing, builtin_profile
 from .quadrature import Integrand, integrate
-from .transforms import Dispersion
 from . import solvers as _solvers
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -214,12 +213,10 @@ def recipe_generate(
     problem = ProblemSpec(
         pde, builtin_profile("zero"), base_boundary_step, zero_forcing()
     )
-    disp = Dispersion(pde)
-    geo = _solvers._WEDGES[pde]
     sign = -1.0  # the boundary term enters the solution with a minus sign
 
     def evaluator(x: float, t: float) -> float:
-        res = _solvers._boundary_term(problem, disp, geo, 0, n, x, t, config)
+        res = _solvers._boundary_term(problem, 0, n, x, t, config)
         return sign * res.value.real / (2.0 * math.pi)
 
     return CounterexampleField(pde=pde, order=n, evaluator=evaluator)

@@ -160,8 +160,8 @@ def ray_truncation(
 
         def tail(r: float) -> float:
             e0 = env(r)
-            if e0 <= 0.0:
-                return 0.0
+            if e0 <= 0.0 or e0 == math.inf:
+                return e0
             e1 = env(r * 1.01)
             rate = 0.0
             if e1 > 0.0 and e1 < e0:
@@ -216,7 +216,9 @@ def power_law_envelope(
     g: Integrand, ray: Ray, probes: Sequence[float] = (4.0, 8.0, 16.0, 32.0)
 ) -> Optional[Callable[[float], float]]:
     """Calibrate a C*s^-p envelope for an algebraically decaying tail by
-    probing |g| along the ray; the fitted bound is inflated by 2x.
+    probing |g| along the ray; the fitted bound is inflated by 2x.  It is
+    infinite inside the first probe radius, where the fit says nothing: a
+    fast-decaying tail can sit at the roundoff floor at every probe.
 
     Returns None when no usable power law emerges (p <= 1.05, or decay
     faster than the probes can pin down); callers then fall back to the
@@ -229,8 +231,9 @@ def power_law_envelope(
 
     rs = np.asarray(probes, dtype=float)
     vals = np.array([probe(r) for r in rs])
+    first = rs[0]
     if np.all(vals == 0.0):
-        return lambda s: 0.0
+        return lambda s: 0.0 if s >= first else math.inf
     mask = vals > 0
     if mask.sum() < 3:
         return None
@@ -241,7 +244,7 @@ def power_law_envelope(
         # super-steep falloff certifies trivially there as well
         return None
     c = 2.0 * float(np.max(vals * rs**p))
-    return lambda s: c * s ** (-p)
+    return lambda s: c * s ** (-p) if s >= first else math.inf
 
 
 def _gk_panels(f_vals: np.ndarray, vel: np.ndarray, half: np.ndarray):

@@ -30,21 +30,24 @@ with s_w = +1 for the cubic (KdV) family and -1 for the heat family:
 
 Every term is evaluated with overflow-safe groupings (the time transforms
 only ever appear as e^{-w t} gtilde) and with contour decompositions that
-give genuinely decaying integrands at all (x, t):
+give genuinely decaying integrands at all (x, t).  Each subtracted term
+uses one of two splits at |lam| = 1, held as data (``_Split``) and
+integrated by the one builder ``_split_term``: a central piece carrying
+the full integrand, remainder rays carrying it minus its M-term
+large-lambda expansion (O(lam^{-M-1}), absolutely integrable), and the
+expansion itself pushed where the time factor decays like
+e^{-c t |lam|^order}.
 
-* Real-line terms use the four-piece subtraction: a central piece on
-  [-1, 1]; the tails with the M-term large-lambda expansion subtracted
-  (remainder O(lam^{-M-1}), absolutely integrable); the expansion itself
-  pushed onto short vertical segments plus the far wedge, where the far
-  rays are tilted slightly toward the real axis so the time factor decays
-  like e^{-c t |lam|^order}.  The heat initial term may instead be
-  integrated directly on the real line (its Gaussian time factor already
-  decays); the cubic one has a purely oscillatory time factor there, so
-  the subtracted form is used unconditionally.
+* The line split (both real-line terms) pushes the expansion up short
+  vertical segments onto the far wedge, its rays tilted slightly toward
+  the real axis.  The heat initial term may instead be integrated
+  directly on the real line (its Gaussian time factor already decays).
 
-* Wedge data terms are split the same way at |lam| = 1: a central piece,
-  a subtracted remainder along the rays, and the rational expansion
-  carried around radius-1 arcs onto tilted rays.
+* The wedge split (the initial and cubic forcing wedge terms) carries the
+  expansion around radius-1 arcs onto tilted rays.
+
+* A datum whose origin derivatives all vanish has nothing to subtract;
+  its split's tails are tilted by a safe angle instead.
 
 * Boundary terms (and the heat forcing wedge term) have entire, bounded
   grouped integrands, so the whole wedge is rotated toward the real axis.
@@ -65,6 +68,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
+from . import contours
 from .contours import CircularArc, Contour, LineSegment, Ray, rotate_rays
 from .errors import (
     InvalidParameterError,
@@ -87,6 +91,7 @@ from .transforms import (
     grouped_forcing_time_transform,
     grouped_time_transform,
     half_line_fourier,
+    support_radius,
     tail_expansion,
 )
 
@@ -130,44 +135,28 @@ class _Wedge:
     theta_left: float
     vertical_height: float
     far_radius: float
+    contour: Contour
 
 
 _WEDGES = {
-    "kdv": _Wedge(math.pi / 3.0, 2.0 * math.pi / 3.0, math.sqrt(3.0), 2.0),
-    "heat": _Wedge(math.pi / 4.0, 3.0 * math.pi / 4.0, 1.0, math.sqrt(2.0)),
+    "kdv": _Wedge(
+        math.pi / 3.0, 2.0 * math.pi / 3.0, math.sqrt(3.0), 2.0, contours.kdv_contour()
+    ),
+    "heat": _Wedge(
+        math.pi / 4.0, 3.0 * math.pi / 4.0, 1.0, math.sqrt(2.0), contours.heat_contour()
+    ),
 }
 
-_TERM_NAMES = ("init_line", "init_wedge", "boundary", "force_line", "force_wedge")
-
-
 # ---------------------------------------------------------------------------
-# contour builders
+# contour splits
 # ---------------------------------------------------------------------------
 
 
-def _central_segment() -> Contour:
-    return Contour((LineSegment(-1.0 + 0j, 1.0 + 0j),))
-
-
-def _real_tails() -> Contour:
-    return Contour((Ray(-1.0 + 0j, math.pi, orientation=-1), Ray(1.0 + 0j, 0.0)))
-
-
-def _vertical_segments(height: float) -> Contour:
-    return Contour(
-        (
-            LineSegment(-1.0 + 1j * height, -1.0 + 0j),
-            LineSegment(1.0 + 0j, 1.0 + 1j * height),
-        )
-    )
-
-
-def _tilted_far_contour(geo: _Wedge, radius: float, delta: float) -> Contour:
-    """The wedge beyond ``radius``, with its rays tilted by ``delta``
-    toward the real axis, joined by arcs at ``radius``.  Cauchy-equivalent
-    to the straight far wedge for integrands analytic between the wedge
-    and the real axis (away from the origin)."""
-    thr, thl = geo.theta_right, geo.theta_left
+def _tilted_far_contour(thr: float, thl: float, radius: float, delta: float) -> Contour:
+    """The rays at arguments ``thr`` and ``thl`` beyond ``radius``, tilted
+    by ``delta`` toward the real axis (negative ``delta`` tilts away),
+    joined by arcs at ``radius``.  Cauchy-equivalent to the straight rays
+    for integrands analytic in the swept sectors (away from the origin)."""
     return Contour(
         (
             Ray(radius * cmath.exp(1j * (thl + delta)), thl + delta, orientation=-1),
@@ -178,29 +167,53 @@ def _tilted_far_contour(geo: _Wedge, radius: float, delta: float) -> Contour:
     )
 
 
-def _wedge_central(geo: _Wedge) -> Contour:
-    return Contour(
-        (
-            LineSegment(cmath.exp(1j * geo.theta_left), 0j),
-            LineSegment(0j, cmath.exp(1j * geo.theta_right)),
-        )
+@dataclass(frozen=True)
+class _Split:
+    """The pieces of a term split at |lambda| = 1: ``central``, the
+    ``remainder`` rays (envelope probed along ``envelope_ray``), the
+    ``expansion`` contours, and ``tilted(delta)`` for expansion-free data."""
+
+    central: Contour
+    remainder: Contour
+    envelope_ray: Ray
+    expansion: tuple
+    tilted: Callable[[float], Contour]
+
+
+def _line_split(geo: _Wedge, rotation: float) -> _Split:
+    """The real line: [-1, 1], the tails |lambda| >= 1, and the expansion
+    carried up vertical segments onto the far wedge tilted by
+    ``rotation``."""
+    left, right, up = -1.0 + 0j, 1.0 + 0j, 1j * geo.vertical_height
+    ray = Ray(right, 0.0)
+    return _Split(
+        central=Contour((LineSegment(left, right),)),
+        remainder=Contour((Ray(left, math.pi, orientation=-1), ray)),
+        envelope_ray=ray,
+        expansion=(
+            Contour((LineSegment(left + up, left), LineSegment(right, right + up))),
+            _tilted_far_contour(
+                geo.theta_right, geo.theta_left, geo.far_radius, rotation
+            ),
+        ),
+        tilted=lambda delta: _tilted_far_contour(0.0, math.pi, 1.0, -delta),
     )
 
 
-def _wedge_remainder(geo: _Wedge) -> Contour:
-    return Contour(
-        (
-            Ray(cmath.exp(1j * geo.theta_left), geo.theta_left, orientation=-1),
-            Ray(cmath.exp(1j * geo.theta_right), geo.theta_right),
-        )
+def _wedge_split(geo: _Wedge, rotation: float) -> _Split:
+    """The wedge: its part inside the unit disk, the rays beyond it, and
+    the expansion carried around radius-1 arcs onto rays tilted by
+    ``rotation``."""
+    thr, thl = geo.theta_right, geo.theta_left
+    left, right = cmath.exp(1j * thl), cmath.exp(1j * thr)
+    ray = Ray(right, thr)
+    return _Split(
+        central=Contour((LineSegment(left, 0j), LineSegment(0j, right))),
+        remainder=Contour((Ray(left, thl, orientation=-1), ray)),
+        envelope_ray=ray,
+        expansion=(_tilted_far_contour(thr, thl, 1.0, rotation),),
+        tilted=lambda delta: _tilted_far_contour(thr, thl, 1.0, delta),
     )
-
-
-def _rotated_wedge(geo: _Wedge, delta: float) -> Contour:
-    wedge = Contour(
-        (Ray(0j, geo.theta_left, orientation=-1), Ray(0j, geo.theta_right))
-    )
-    return rotate_rays(wedge, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -208,45 +221,49 @@ def _rotated_wedge(geo: _Wedge, delta: float) -> Contour:
 # ---------------------------------------------------------------------------
 
 
-def _phase_density(disp: Dispersion, x: float, t: float):
+def _data_integrand(
+    disp: Dispersion, k: int, m: int, x: float, t: float
+) -> Callable[[Callable], Integrand]:
+    """spatial -> the integrand (i lam)^k (-w)^m e^{i lam x - w t}
+    spatial(lam)."""
+
     def density(lam):
         return x + t * np.abs(disp.dw(lam))
 
-    return density
+    def build(spatial: Callable) -> Integrand:
+        def evaluator(lam):
+            w = disp.w(lam)
+            mult = (1j * lam) ** k if k else 1.0
+            if m:
+                mult = mult * (-w) ** m
+            return mult * np.exp(1j * lam * x - w * t) * spatial(lam)
 
+        return Integrand(evaluator, phase_density=density)
 
-def _exp_factor(disp: Dispersion, x: float, t: float):
-    def factor(lam):
-        w = disp.w(lam)
-        return np.exp(1j * lam * x - w * t)
-
-    return factor
-
-
-def _data_integrand(
-    disp: Dispersion, k: int, m: int, x: float, t: float, spatial: Callable
-) -> Callable:
-    def evaluator(lam):
-        w = disp.w(lam)
-        mult = (1j * lam) ** k if k else 1.0
-        if m:
-            mult = mult * (-w) ** m
-        return mult * np.exp(1j * lam * x - w * t) * spatial(lam)
-
-    return evaluator
+    return build
 
 
 def _grouped_integrand(
-    disp: Dispersion, k: int, x: float, coef: Callable, grouped: Callable
-) -> Callable:
-    """(i lam)^k coef(lam) e^{i lam x} grouped(lam); the time decay lives
-    inside ``grouped``."""
+    disp: Dispersion, k: int, x: float, t: float, coef: Callable
+) -> Callable[[Callable], Integrand]:
+    """grouped -> the integrand (i lam)^k coef(lam) e^{i lam x}
+    grouped(lam); the time decay lives inside ``grouped``."""
 
-    def evaluator(lam):
-        mult = (1j * lam) ** k if k else 1.0
-        return mult * coef(lam) * np.exp(1j * lam * x) * grouped(lam)
+    def density(lam):
+        return x + t * np.abs(disp.dw(lam))
 
-    return evaluator
+    def build(grouped: Callable) -> Integrand:
+        def evaluator(lam):
+            mult = (1j * lam) ** k if k else 1.0
+            return mult * coef(lam) * np.exp(1j * lam * x) * grouped(lam)
+
+        return Integrand(evaluator, phase_density=density)
+
+    return build
+
+
+def _one(lam):
+    return np.ones_like(np.asarray(lam, dtype=complex))
 
 
 def _alpha_combo(func: Callable, check_domain: bool = False) -> Callable:
@@ -273,35 +290,44 @@ def _alpha_combo(func: Callable, check_domain: bool = False) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-def _sum_pieces(pieces, tol: float, config: SolverConfig) -> QuadratureResult:
+def _split_term(
+    build: Callable[[Callable], Integrand],
+    full: Callable,
+    tail: Callable | None,
+    split: _Split,
+    delta: float | None,
+    config: SolverConfig,
+) -> QuadratureResult:
+    """One term over ``split``: ``full`` on the central piece, ``full -
+    tail`` on the remainder rays and ``tail`` on the expansion contours.
+    With ``tail`` None there is nothing to subtract, and ``full`` is
+    integrated on the central piece and the tails tilted by ``delta``."""
+    g = build(full)
+    if tail is None:
+        pieces = [(g, split.central), (g, split.tilted(delta))]
+    else:
+        rem = build(lambda lam: full(lam) - tail(lam))
+        rem.decay_envelope = power_law_envelope(rem, split.envelope_ray)
+        pieces = [(g, split.central), (rem, split.remainder)]
+        pieces += [(build(tail), contour) for contour in split.expansion]
     # each piece is integrated to the full term tolerance; the reported
     # error estimate is the (conservative) sum over pieces
-    total = ZERO_RESULT
-    for integrand, contour in pieces:
-        total = total + integrate(integrand, contour, tol, config)
-    return total
+    return sum((integrate(g, c, config.tol, config) for g, c in pieces), ZERO_RESULT)
 
 
 def _tail_expansion_trivial(u0: DataProfile, terms: int) -> bool:
     return all(abs(float(u0.derivative(j, 0.0))) < 1e-14 for j in range(terms))
 
 
-def _support_radius(u0: DataProfile) -> float:
-    if u0.support_radius is not None:
-        return float(u0.support_radius)
-    r = 2.0
-    while r < 1e4:
-        if np.all(np.abs(u0(np.array([r, 1.4 * r]))) < 1e-13):
-            return 1.4 * r
-        r *= 2.0
-    return r
-
-
-def _safe_tilt(delta: float, b: float, t: float, order: int, cap: float = 12.0):
-    """Largest tilt <= delta for which the transform growth e^{b r sin(d)}
-    along the tilted ray stays within e^cap of the cubic/quadratic decay
-    e^{-t r^order sin(order d)}.  Keeps upward continuations of
-    compact-support transforms free of catastrophic cancellation."""
+def _cubic_tilt(u0: DataProfile, t: float, config: SolverConfig, cap: float = 12.0):
+    """Largest tilt <= the cubic rotation for which the transform growth
+    e^{b r sin(d)} along the tilted ray stays within e^cap of the cubic
+    decay e^{-t r^3 sin(3 d)}, b the support radius of ``u0`` (declared,
+    else probed).  Keeps upward continuations of compact-support
+    transforms free of catastrophic cancellation."""
+    b = u0.support_radius
+    b = support_radius(u0, config.tol) if b is None else float(b)
+    order = 3
 
     def max_exponent(d: float) -> float:
         s1, s2 = math.sin(d), math.sin(order * d)
@@ -310,31 +336,10 @@ def _safe_tilt(delta: float, b: float, t: float, order: int, cap: float = 12.0):
         r_star = (b * s1 / (order * t * s2)) ** (1.0 / (order - 1))
         return b * s1 * r_star * (1.0 - 1.0 / order)
 
-    d = delta
+    d = config.rotation("kdv")
     while d > 1e-4 and max_exponent(d) > cap:
         d /= 1.5
     return d
-
-
-def _tilted_wedge_tails(geo: _Wedge, radius: float, delta: float) -> Contour:
-    return _tilted_far_contour(geo, radius, delta)
-
-
-def _tilted_line_tails(radius: float, delta: float) -> Contour:
-    """The real-line tails |lambda| >= radius lifted onto rays at
-    arguments delta and pi - delta, joined by arcs at |lambda| = radius."""
-    return Contour(
-        (
-            Ray(
-                radius * cmath.exp(1j * (math.pi - delta)),
-                math.pi - delta,
-                orientation=-1,
-            ),
-            CircularArc(0j, radius, math.pi - delta, math.pi),
-            CircularArc(0j, radius, 0.0, delta),
-            Ray(radius * cmath.exp(1j * delta), delta),
-        )
-    )
 
 
 def _effective_terms(config: SolverConfig, disp: Dispersion, k: int, m: int) -> int:
@@ -345,8 +350,6 @@ def _effective_terms(config: SolverConfig, disp: Dispersion, k: int, m: int) -> 
 
 def _initial_real_term(
     p: ProblemSpec,
-    disp: Dispersion,
-    geo: _Wedge,
     k: int,
     m: int,
     x: float,
@@ -354,77 +357,42 @@ def _initial_real_term(
     config: SolverConfig,
     stabilized: bool,
 ) -> QuadratureResult:
+    disp = Dispersion(p.pde)
     tol = config.tol
-    pd = _phase_density(disp, x, t)
+    build = _data_integrand(disp, k, m, x, t)
     uhat = lambda lam: half_line_fourier(p.u0, lam, tol)
-
-    if not stabilized:
-        g = Integrand(
-            _data_integrand(disp, k, m, x, t, uhat), phase_density=pd
-        )
-        line = Contour((Ray(0j, math.pi, orientation=-1), Ray(0j, 0.0)))
-        return integrate(g, line, tol, config)
-
     terms = _effective_terms(config, disp, k, m)
+    # nothing to subtract when all origin derivatives vanish
+    trivial = stabilized and _tail_expansion_trivial(p.u0, terms)
 
-    if _tail_expansion_trivial(p.u0, terms):
-        # nothing to subtract (all origin derivatives vanish); for the
-        # cubic family the oscillatory tails are instead lifted off the
-        # real axis, which the transform's continuation permits
-        g = Integrand(_data_integrand(disp, k, m, x, t, uhat), phase_density=pd)
-        if p.pde == "heat":
-            line = Contour((Ray(0j, math.pi, orientation=-1), Ray(0j, 0.0)))
-            return integrate(g, line, tol, config)
+    if not stabilized or (trivial and p.pde == "heat"):
+        return integrate(build(uhat), contours.real_line(), tol, config)
+
+    split = _line_split(_WEDGES[p.pde], config.rotation(p.pde))
+    if trivial:
+        # the cubic oscillatory tails are instead lifted off the real
+        # axis, which the transform's continuation permits
         if not p.u0.transform_upper_ok:
             raise OutOfDomainError(
                 "expansion-free datum on the cubic real-line term requires "
                 "a transform continuation above the real axis"
             )
-        delta = _safe_tilt(
-            config.rotation(p.pde), _support_radius(p.u0), t, disp.order
-        )
-        central = (g, _central_segment())
-        tails = (g, _tilted_line_tails(1.0, delta))
-        return _sum_pieces([central, tails], tol, config)
+        delta = _cubic_tilt(p.u0, t, config)
+        return _split_term(build, uhat, None, split, delta, config)
     sigma = lambda lam: tail_expansion(p.u0, terms, lam)
-    remainder = lambda lam: uhat(lam) - sigma(lam)
-
-    central = (
-        Integrand(_data_integrand(disp, k, m, x, t, uhat), phase_density=pd),
-        _central_segment(),
-    )
-    tail_integrand = Integrand(
-        _data_integrand(disp, k, m, x, t, remainder), phase_density=pd
-    )
-    ray = Ray(1.0 + 0j, 0.0)
-    tail_integrand.decay_envelope = power_law_envelope(tail_integrand, ray)
-    tails = (tail_integrand, _real_tails())
-    verticals = (
-        Integrand(_data_integrand(disp, k, m, x, t, sigma), phase_density=pd),
-        _vertical_segments(geo.vertical_height),
-    )
-    far = (
-        Integrand(_data_integrand(disp, k, m, x, t, sigma), phase_density=pd),
-        _tilted_far_contour(geo, geo.far_radius, config.rotation(p.pde)),
-    )
-    return _sum_pieces([central, tails, verticals, far], tol, config)
+    return _split_term(build, uhat, sigma, split, None, config)
 
 
 def _initial_wedge_term(
-    p: ProblemSpec,
-    disp: Dispersion,
-    geo: _Wedge,
-    k: int,
-    m: int,
-    x: float,
-    t: float,
-    config: SolverConfig,
+    p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
+    disp = Dispersion(p.pde)
     tol = config.tol
-    pd = _phase_density(disp, x, t)
+    build = _data_integrand(disp, k, m, x, t)
     terms = _effective_terms(config, disp, k, m)
     uhat = lambda lam: half_line_fourier(p.u0, lam, tol)
     sigma = lambda lam: tail_expansion(p.u0, terms, lam)
+    split = _wedge_split(_WEDGES[p.pde], config.rotation(p.pde))
 
     if p.pde == "kdv":
         full = _alpha_combo(uhat, check_domain=True)
@@ -432,55 +400,26 @@ def _initial_wedge_term(
     else:
         full = lambda lam: uhat(-np.asarray(lam, dtype=complex))
         tail = lambda lam: sigma(-np.asarray(lam, dtype=complex))
-    remainder = lambda lam: full(lam) - tail(lam)
 
     if _tail_expansion_trivial(p.u0, terms):
         # no expansion to subtract; tilt the wedge tails toward the real
         # axis so the time factor decays.  The heat combination uhat(-lam)
         # stays in the transform's half-plane under the tilt; the cubic
         # one needs the upward continuation.
-        if p.pde == "heat" or p.u0.transform_upper_ok:
-            if p.pde == "kdv":
-                full = _alpha_combo(uhat)  # tilted args leave the wedge
-                delta = _safe_tilt(
-                    config.rotation(p.pde), _support_radius(p.u0), t, disp.order
-                )
-            else:
-                delta = config.rotation(p.pde)
-            g = Integrand(_data_integrand(disp, k, m, x, t, full), phase_density=pd)
-            central = (g, _wedge_central(geo))
-            tails = (g, _tilted_wedge_tails(geo, 1.0, delta))
-            return _sum_pieces([central, tails], tol, config)
-
-    central = (
-        Integrand(_data_integrand(disp, k, m, x, t, full), phase_density=pd),
-        _wedge_central(geo),
-    )
-    rem_integrand = Integrand(
-        _data_integrand(disp, k, m, x, t, remainder), phase_density=pd
-    )
-    ray = Ray(cmath.exp(1j * geo.theta_right), geo.theta_right)
-    rem_integrand.decay_envelope = power_law_envelope(rem_integrand, ray)
-    rem = (rem_integrand, _wedge_remainder(geo))
-    tilted = (
-        Integrand(_data_integrand(disp, k, m, x, t, tail), phase_density=pd),
-        _tilted_far_contour(geo, 1.0, config.rotation(p.pde)),
-    )
-    return _sum_pieces([central, rem, tilted], tol, config)
+        if p.pde == "heat":
+            return _split_term(build, full, None, split, config.rotation_heat, config)
+        if p.u0.transform_upper_ok:
+            full = _alpha_combo(uhat)  # tilted args leave the wedge
+            delta = _cubic_tilt(p.u0, t, config)
+            return _split_term(build, full, None, split, delta, config)
+    return _split_term(build, full, tail, split, None, config)
 
 
 def _boundary_term(
-    p: ProblemSpec,
-    disp: Dispersion,
-    geo: _Wedge,
-    k: int,
-    m: int,
-    x: float,
-    t: float,
-    config: SolverConfig,
+    p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
+    disp = Dispersion(p.pde)
     tol = config.tol
-    pd = _phase_density(disp, x, t)
     if p.pde == "kdv":
         coef = lambda lam: 3.0 * lam * lam
     else:
@@ -493,23 +432,16 @@ def _boundary_term(
             d = float(p.g0.derivative(j - 1, t)) - w * d
         return d
 
-    g = Integrand(_grouped_integrand(disp, k, x, coef, grouped), phase_density=pd)
-    contour = _rotated_wedge(geo, config.rotation(p.pde))
+    g = _grouped_integrand(disp, k, x, t, coef)(grouped)
+    contour = rotate_rays(_WEDGES[p.pde].contour, config.rotation(p.pde))
     return integrate(g, contour, tol, config)
 
 
 def _forcing_real_term(
-    p: ProblemSpec,
-    disp: Dispersion,
-    geo: _Wedge,
-    k: int,
-    m: int,
-    x: float,
-    t: float,
-    config: SolverConfig,
+    p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
+    disp = Dispersion(p.pde)
     tol = config.tol
-    pd = _phase_density(disp, x, t)
     terms = _effective_terms(config, disp, k, m)
     f = p.f
 
@@ -527,41 +459,18 @@ def _forcing_real_term(
             d = forcing_tail_expansion(f, terms, lam, t) - w * d
         return d
 
-    one = lambda lam: np.ones_like(np.asarray(lam, dtype=complex))
-    central = (
-        Integrand(_grouped_integrand(disp, k, x, one, ftilde_grouped), phase_density=pd),
-        _central_segment(),
-    )
-    rem_eval = _grouped_integrand(
-        disp, k, x, one, lambda lam: ftilde_grouped(lam) - htilde_grouped(lam)
-    )
-    rem_integrand = Integrand(rem_eval, phase_density=pd)
-    rem_integrand.decay_envelope = power_law_envelope(rem_integrand, Ray(1.0 + 0j, 0.0))
-    tails = (rem_integrand, _real_tails())
-    verticals = (
-        Integrand(_grouped_integrand(disp, k, x, one, htilde_grouped), phase_density=pd),
-        _vertical_segments(geo.vertical_height),
-    )
-    far = (
-        Integrand(_grouped_integrand(disp, k, x, one, htilde_grouped), phase_density=pd),
-        _tilted_far_contour(geo, geo.far_radius, config.rotation(p.pde)),
-    )
-    return _sum_pieces([central, tails, verticals, far], tol, config)
+    build = _grouped_integrand(disp, k, x, t, _one)
+    split = _line_split(_WEDGES[p.pde], config.rotation(p.pde))
+    return _split_term(build, ftilde_grouped, htilde_grouped, split, None, config)
 
 
 def _forcing_wedge_term(
-    p: ProblemSpec,
-    disp: Dispersion,
-    geo: _Wedge,
-    k: int,
-    m: int,
-    x: float,
-    t: float,
-    config: SolverConfig,
+    p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
+    disp = Dispersion(p.pde)
     tol = config.tol
-    pd = _phase_density(disp, x, t)
     f = p.f
+    build = _grouped_integrand(disp, k, x, t, _one)
 
     if p.pde == "heat":
         # fhat(-lam, .) is analytic and bounded for lam in the upper
@@ -574,10 +483,8 @@ def _forcing_wedge_term(
                 d = forcing_transform(f, -lam, t, tol) - w * d
             return d
 
-        one = lambda lam: np.ones_like(np.asarray(lam, dtype=complex))
-        g = Integrand(_grouped_integrand(disp, k, x, one, grouped), phase_density=pd)
-        contour = _rotated_wedge(geo, config.rotation(p.pde))
-        return integrate(g, contour, tol, config)
+        contour = rotate_rays(_WEDGES[p.pde].contour, config.rotation(p.pde))
+        return integrate(build(grouped), contour, tol, config)
 
     terms = _effective_terms(config, disp, k, m)
 
@@ -598,24 +505,8 @@ def _forcing_wedge_term(
         tail = lambda lam: hm_combo(lam) - disp.w(lam) * tail0(lam)
     else:
         full, tail = full0, tail0
-    remainder = lambda lam: full(lam) - tail(lam)
-
-    one = lambda lam: np.ones_like(np.asarray(lam, dtype=complex))
-    central = (
-        Integrand(_grouped_integrand(disp, k, x, one, full), phase_density=pd),
-        _wedge_central(geo),
-    )
-    rem_integrand = Integrand(
-        _grouped_integrand(disp, k, x, one, remainder), phase_density=pd
-    )
-    ray = Ray(cmath.exp(1j * geo.theta_right), geo.theta_right)
-    rem_integrand.decay_envelope = power_law_envelope(rem_integrand, ray)
-    rem = (rem_integrand, _wedge_remainder(geo))
-    tilted = (
-        Integrand(_grouped_integrand(disp, k, x, one, tail), phase_density=pd),
-        _tilted_far_contour(geo, 1.0, config.rotation(p.pde)),
-    )
-    return _sum_pieces([central, rem, tilted], tol, config)
+    split = _wedge_split(_WEDGES[p.pde], config.rotation(p.pde))
+    return _split_term(build, full, tail, split, None, config)
 
 
 # ---------------------------------------------------------------------------
@@ -648,28 +539,24 @@ def _raw_terms(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ):
     _validate(p, k, m, x, t, config)
-    disp = Dispersion(p.pde)
-    geo = _WEDGES[p.pde]
 
     if p.u0.is_zero():
         init_line = init_wedge = ZERO_RESULT
     else:
         stabilized = p.pde == "kdv" or x >= config.stabilize_threshold_heat
-        init_line = _initial_real_term(
-            p, disp, geo, k, m, x, t, config, stabilized=stabilized
-        )
-        init_wedge = _initial_wedge_term(p, disp, geo, k, m, x, t, config)
+        init_line = _initial_real_term(p, k, m, x, t, config, stabilized)
+        init_wedge = _initial_wedge_term(p, k, m, x, t, config)
 
     if p.g0.is_zero():
         boundary = ZERO_RESULT
     else:
-        boundary = _boundary_term(p, disp, geo, k, m, x, t, config)
+        boundary = _boundary_term(p, k, m, x, t, config)
 
     if p.f.is_zero():
         force_line = force_wedge = ZERO_RESULT
     else:
-        force_line = _forcing_real_term(p, disp, geo, k, m, x, t, config)
-        force_wedge = _forcing_wedge_term(p, disp, geo, k, m, x, t, config)
+        force_line = _forcing_real_term(p, k, m, x, t, config)
+        force_wedge = _forcing_wedge_term(p, k, m, x, t, config)
 
     return init_line, init_wedge, boundary, force_line, force_wedge
 
@@ -756,18 +643,14 @@ def stabilized_real_line_term(
     decomposition (central + subtracted tails + verticals + tilted far
     wedge).  ``which`` selects the initial-datum or forcing term."""
     _validate(p, k, m, x, t, config)
-    disp = Dispersion(p.pde)
-    geo = _WEDGES[p.pde]
     if which == "initial":
         if p.u0.is_zero():
             return 0j
-        return _initial_real_term(
-            p, disp, geo, k, m, x, t, config, stabilized=True
-        ).value
+        return _initial_real_term(p, k, m, x, t, config, True).value
     if which == "forcing":
         if p.f.is_zero():
             return 0j
-        return _forcing_real_term(p, disp, geo, k, m, x, t, config).value
+        return _forcing_real_term(p, k, m, x, t, config).value
     raise InvalidParameterError("which must be 'initial' or 'forcing'")
 
 
@@ -793,32 +676,19 @@ def direct_real_line_term(
     if p.u0.is_zero():
         return 0j
     tol = config.tol
-    pd = _phase_density(disp, x, t)
+    build = _data_integrand(disp, k, m, x, t)
     uhat = lambda lam: half_line_fourier(p.u0, lam, tol)
-    g = Integrand(_data_integrand(disp, k, m, x, t, uhat), phase_density=pd)
 
     if p.pde == "heat":
-        line = Contour((Ray(0j, math.pi, orientation=-1), Ray(0j, 0.0)))
-        return integrate(g, line, tol, config).value
+        return integrate(build(uhat), contours.real_line(), tol, config).value
 
     if p.u0.transform is None:
         raise OutOfDomainError(
             "direct cubic-family evaluation needs a continuable transform"
         )
     delta = config.rotation(p.pde)
-    central = Contour((LineSegment(-1.0 + 0j, 1.0 + 0j),))
-    tails = Contour(
-        (
-            Ray(cmath.exp(1j * (math.pi - delta)), math.pi - delta, orientation=-1),
-            CircularArc(0j, 1.0, math.pi - delta, math.pi),
-            CircularArc(0j, 1.0, 0.0, delta),
-            Ray(cmath.exp(1j * delta), delta),
-        )
-    )
-    total = integrate(g, central, tol / 2, config) + integrate(
-        g, tails, tol / 2, config
-    )
-    return total.value
+    split = _line_split(_WEDGES[p.pde], delta)
+    return _split_term(build, uhat, None, split, delta, config.with_tol(tol / 2)).value
 
 
 def solve_grid(

@@ -48,28 +48,56 @@ def _gauss_legendre(n: int):
     return _GL_NODES_CACHE[n]
 
 
-def _profile_support_radius(u0: DataProfile, tol: float) -> float:
-    """Radius beyond which |u0| is negligible, by probe doubling."""
+def support_radius(func, tol: float) -> float:
+    """Radius beyond which the vectorized half-line function ``func`` stays
+    below tol/10, by probe doubling.  Raises OutOfDomainError when it does
+    not decay."""
     x = 2.0
     while x < 1e6:
-        probe = np.abs(u0(np.array([x, 1.3 * x, 1.7 * x])))
+        probe = np.abs(func(np.array([x, 1.3 * x, 1.7 * x])))
         if np.all(probe < tol / 10.0):
             return 1.7 * x
         x *= 2.0
     raise OutOfDomainError("profile does not appear to decay")
 
 
-def _quadrature_half_line(values_of, tol: float, x_max: float):
-    """integral_0^{x_max} by composite Gauss-Legendre with refinement."""
+def _time_panels(w_arr, t: float, n: int):
+    """(nodes, weights) of n-point Gauss-Legendre panels on nu in [0, t],
+    doubling in width away from nu = 0 from a first width that resolves
+    the boundary layer of width 1/max Re w."""
+    rate = float(np.max(np.clip(w_arr.real, 0.0, None)))
+    edges = [0.0]
+    width = min(t, 1.0 / (rate + 1.0 / t))
+    nu = 0.0
+    while nu < t:
+        nxt = min(t, nu + width)
+        edges.append(nxt)
+        nu = nxt
+        width *= 2.0
+    nodes, weights = _gauss_legendre(n)
+    for a, b in zip(edges[:-1], edges[1:]):
+        yield 0.5 * (b - a) * (nodes + 1.0) + a, 0.5 * (b - a) * weights
+
+
+def _quadrature_half_line(func, lam_arr, tol: float):
+    """integral_0^inf e^{-i lam y} func(y) dy for Im lam <= 0, cut at the
+    support radius of ``func``, by composite Gauss-Legendre with
+    refinement."""
+    x_max = support_radius(func, tol)
+
+    def samples(y):
+        # (n_lam, n_y) sample matrix; e^{-i lam y} bounded for Im lam <= 0
+        return np.exp(-1j * np.outer(lam_arr, y)) * np.asarray(func(y))[None, :]
+
     for n in (64, 128, 256, 512):
         nodes, weights = _gauss_legendre(n)
         y = 0.5 * x_max * (nodes + 1.0)
         w = 0.5 * x_max * weights
-        coarse = values_of(y) @ w.astype(complex)
+        coarse = samples(y) @ w.astype(complex)
         nodes2, weights2 = _gauss_legendre(2 * n)
         y2 = 0.5 * x_max * (nodes2 + 1.0)
         w2 = 0.5 * x_max * weights2
-        fine = values_of(y2) @ w2.astype(complex)
+        fine = samples(y2) @ w2.astype(complex)
         if np.all(np.abs(fine - coarse) <= tol):
             return fine
     return fine
@@ -91,13 +119,7 @@ def half_line_fourier(u0: DataProfile, lam, tol: float | None = None):
             "half-line transform requested for Im lambda > 0 and the profile "
             "has no continuation there"
         )
-    x_max = _profile_support_radius(u0, tol)
-
-    def values(y):
-        # (n_lam, n_y) sample matrix; e^{-i lam y} bounded for Im lam <= 0
-        return np.exp(-1j * np.outer(lam_arr, y)) * u0(y)[None, :]
-
-    out = _quadrature_half_line(values, tol, x_max)
+    out = _quadrature_half_line(u0, lam_arr, tol)
     return out if np.ndim(lam) else complex(out[0])
 
 
@@ -139,20 +161,8 @@ def grouped_time_transform(g0: DataProfile, w, t: float, tol: float | None = Non
         return out if np.ndim(w) else complex(out[0])
 
     # generic path: geometric panels in nu = t - tau, resolved per max Re w
-    rate = float(np.max(np.clip(w_arr.real, 0.0, None)))
-    edges = [0.0]
-    width = min(t, 1.0 / (rate + 1.0 / t))
-    nu = 0.0
-    while nu < t:
-        nxt = min(t, nu + width)
-        edges.append(nxt)
-        nu = nxt
-        width *= 2.0
-    nodes, weights = _gauss_legendre(24)
     out = np.zeros_like(w_arr)
-    for a, b in zip(edges[:-1], edges[1:]):
-        nu_nodes = 0.5 * (b - a) * (nodes + 1.0) + a
-        wq = 0.5 * (b - a) * weights
+    for nu_nodes, wq in _time_panels(w_arr, t, 24):
         g_vals = np.asarray(g0(t - nu_nodes), dtype=complex)
         out += (np.exp(-np.outer(w_arr, nu_nodes)) * (g_vals * wq)[None, :]).sum(axis=1)
     return out if np.ndim(w) else complex(out[0])
@@ -178,19 +188,7 @@ def forcing_transform(f: ForcingProfile, lam, t: float, tol: float | None = None
         return out if np.ndim(lam) else complex(out[0])
     if np.any(lam_arr.imag > 1e-9 * (1.0 + np.abs(lam_arr))):
         raise OutOfDomainError("fhat requested for Im lambda > 0 without closed form")
-    x_max = 2.0
-    while x_max < 1e6:
-        probe = np.abs(f(np.array([x_max, 1.5 * x_max]), t))
-        if np.all(probe < tol / 10.0):
-            break
-        x_max *= 2.0
-
-    def values(y):
-        return np.exp(-1j * np.outer(lam_arr, y)) * np.asarray(
-            f(y, t), dtype=complex
-        )[None, :]
-
-    out = _quadrature_half_line(values, tol, 1.5 * x_max)
+    out = _quadrature_half_line(lambda y: f(y, t), lam_arr, tol)
     return out if np.ndim(lam) else complex(out[0])
 
 
@@ -211,20 +209,8 @@ def grouped_forcing_time_transform(
         out = np.asarray(f.grouped_time_transform(lam_arr, w_arr, t), dtype=complex)
         return out if np.ndim(lam) else complex(out[0])
 
-    rate = float(np.max(np.clip(w_arr.real, 0.0, None)))
-    edges = [0.0]
-    width = min(t, 1.0 / (rate + 1.0 / t))
-    nu = 0.0
-    while nu < t:
-        nxt = min(t, nu + width)
-        edges.append(nxt)
-        nu = nxt
-        width *= 2.0
-    nodes, weights = _gauss_legendre(16)
     out = np.zeros_like(lam_arr)
-    for a, b in zip(edges[:-1], edges[1:]):
-        nu_nodes = 0.5 * (b - a) * (nodes + 1.0) + a
-        wq = 0.5 * (b - a) * weights
+    for nu_nodes, wq in _time_panels(w_arr, t, 16):
         for nu_k, w_k in zip(nu_nodes, wq):
             fh = forcing_transform(f, lam_arr, t - nu_k, tol)
             out += np.exp(-w_arr * nu_k) * fh * w_k

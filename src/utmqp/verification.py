@@ -29,6 +29,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InvalidParameterError
 from .profiles import ProblemSpec
 from .solvers import solve, solve_derivative
+from .transforms import _gauss_legendre
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +139,13 @@ def pde_residual(
 # image-kernel oracle for the heat problem
 # ---------------------------------------------------------------------------
 
-_GL_CACHE: dict = {}
-
-
-def _leggauss(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
 
 def _gauss_kernel(z, t):
     return np.exp(-z * z / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
 
 
 def _panel_integral(func, a: float, b: float, n: int = 48) -> float:
-    nodes, weights = _leggauss(n)
+    nodes, weights = _gauss_legendre(n)
     xs = 0.5 * (b - a) * (nodes + 1.0) + a
     return 0.5 * (b - a) * float(np.dot(weights, func(xs)))
 
@@ -537,7 +530,7 @@ def energy_trace(
     ts = np.linspace(t_start, T, n_t)
     if L is None:
         L = _auto_upper_limit(field, ts[-1])
-    nodes, weights = _leggauss(80)
+    nodes, weights = _gauss_legendre(80)
 
     def energy(t: float) -> float:
         xs = 0.5 * L * (nodes + 1.0)

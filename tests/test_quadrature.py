@@ -16,7 +16,12 @@ from utmqp.contours import (
     rotate_rays,
 )
 from utmqp.errors import AccuracyError, InvalidContourError, TruncationError
-from utmqp.quadrature import Integrand, integrate, ray_truncation
+from utmqp.quadrature import (
+    Integrand,
+    integrate,
+    power_law_envelope,
+    ray_truncation,
+)
 
 TOL = 1e-10
 
@@ -138,6 +143,18 @@ class TestRayTruncation:
             return ray_truncation(g, Ray(0j, 0.25), 1e-8)
 
         assert radius(10.0) < radius(1.0)
+
+    def test_envelope_says_nothing_inside_its_first_probe(self):
+        # a Gaussian that is below a roundoff-like floor at every probe
+        # radius, so the power law fitted there misses it entirely
+        probes = (4.0, 8.0, 16.0, 32.0)
+        ray = Ray(1.0 + 0j, 0.0)
+        g = Integrand(lambda lam: np.exp(-3.0 * (lam - 1.0) ** 2) + 1e-15 / lam**2)
+        g.decay_envelope = power_law_envelope(g, ray, probes)
+        assert g.decay_envelope is not None
+        assert ray_truncation(g, ray, TOL) >= probes[0]
+        value = integrate(g, Contour((ray,)), TOL).value
+        assert abs(value - 0.5 * math.sqrt(math.pi / 3.0)) <= 1e-8
 
     def test_pure_oscillation_without_decay_fails(self):
         g = Integrand(evaluator=lambda lam: np.exp(1j * np.abs(lam)))

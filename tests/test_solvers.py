@@ -6,7 +6,11 @@ import pytest
 from scipy.special import erfc
 
 from utmqp.config import SolverConfig
-from utmqp.errors import InvalidParameterError, UnsupportedOrderError
+from utmqp.errors import (
+    InvalidParameterError,
+    OutOfDomainError,
+    UnsupportedOrderError,
+)
 from utmqp.profiles import (
     ProblemSpec,
     builtin_profile,
@@ -115,6 +119,28 @@ class TestHeatSolver:
 
         for x, t in [(1.0, 0.5), (0.5, 1.0)]:
             assert heat_solve(p, x, t).value == pytest.approx(exact(x, t), abs=1e-8)
+
+    def test_forced_time_derivative_error_estimate_is_honest(self):
+        # the forcing real-line remainder decays like a Gaussian here and
+        # sits at the roundoff floor at every envelope probe radius; a
+        # truncation inside the first probe once lost 4e-5 of u_t
+        f = separable_forcing(
+            builtin_profile("exp_decay", a=1.0), builtin_profile("constant", c=1.0)
+        )
+        p = exp_decay_problem("heat")
+        p = ProblemSpec("heat", p.u0, p.g0, f)
+        x, t = 7.408515658802797, 0.64294887756002
+        got = solve_derivative(p, 0, 1, x, t)
+        ref = solve_derivative(p, 0, 1, x, t, TIGHT)
+        assert abs(got.value - ref.value) <= got.error_estimate + ref.error_estimate
+
+    def test_nondecaying_forcing_is_rejected(self):
+        constant = builtin_profile("constant", c=1.0)
+        f = separable_forcing(constant, constant)
+        for pde in ("heat", "kdv"):
+            p = ProblemSpec(pde, builtin_profile("zero"), builtin_profile("zero"), f)
+            with pytest.raises(OutOfDomainError):
+                solve(p, 1.0, 0.5)
 
 
 class TestKdvSolver:

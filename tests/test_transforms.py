@@ -12,6 +12,7 @@ from utmqp.transforms import (
     forcing_transform,
     forcing_transforms,
     grouped_forcing_tail_time_transform,
+    grouped_forcing_time_transform,
     grouped_time_transform,
     half_line_fourier,
     tail_expansion,
@@ -172,6 +173,25 @@ class TestForcingTransforms:
         fhat, ftilde = forcing_transforms(f, lam, w, t)
         assert fhat == pytest.approx(1.0 / (1.0 + 1j * lam))
         assert ftilde == pytest.approx(fhat * (np.exp(w * t) - 1.0) / w)
+
+    def test_generic_paths_match_separable_closed_form(self):
+        f = separable_forcing(
+            builtin_profile("exp_decay", a=1.0), builtin_profile("exp_of_t", a=-1.0)
+        )
+        bare = dataclasses.replace(f, transform=None, grouped_time_transform=None)
+        lam = np.array([1.5 + 0j, -2.0 - 0.5j, 0.3 - 1.0j])
+        w = np.array([0.7 + 0.4j, 4.0 + 0j, 20.0 - 3.0j])
+        t = 0.9
+        got = forcing_transform(bare, lam, t, tol=1e-12)
+        assert np.allclose(got, forcing_transform(f, lam, t), rtol=0, atol=1e-10)
+        got = grouped_forcing_time_transform(bare, lam, w, t, tol=1e-12)
+        expected = grouped_forcing_time_transform(f, lam, w, t)
+        assert np.allclose(got, expected, rtol=0, atol=1e-10)
+
+    def test_nondecaying_forcing_is_rejected(self):
+        constant = builtin_profile("constant", c=1.0)
+        with pytest.raises(OutOfDomainError):
+            forcing_transform(separable_forcing(constant, constant), 1.0 - 0.5j, 0.5)
 
     def test_empty_time_integral(self):
         f = separable_forcing(
