@@ -38,7 +38,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .contours import indented_line
 from .errors import InvalidParameterError, RecipeDegenerateError
 from .profiles import DataProfile, ProblemSpec, zero_forcing, builtin_profile
-from .quadrature import Integrand, integrate
+from .quadrature import Integrand, _gauss_legendre, integrate
 from . import solvers as _solvers
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -254,7 +254,7 @@ def _energy_of_field(field: Callable, t: float, n_nodes: int = 96) -> float:
         if probe**2 * upper < 1e-13:
             break
         upper *= 2.0
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = _gauss_legendre(n_nodes)
     total = 0.0
     # split [0, upper] geometrically toward 0 where the profile peaks
     edges = [0.0] + [upper * 2.0 ** (-k) for k in range(8, -1, -1)]

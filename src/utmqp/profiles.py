@@ -17,7 +17,8 @@ datum g0(t).  Optional capability hooks:
 
 Forcing profiles add an (order, x, t) derivative in x; the separable
 implementation composes a spatial and a temporal DataProfile, which keeps
-every transform closed-form when both factors have one.
+every transform closed-form when both factors have one; it exposes the
+pair as ``factors``, through which the forcing tail terms are evaluated.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from numpy.polynomial import Polynomial
 from scipy.special import wofz
 
 from .errors import InvalidParameterError
+from .quadrature import _gauss_legendre
 
 SCHWARTZ = "schwartz"
 SMOOTH_BOUNDED = "smooth-bounded"
@@ -93,7 +95,7 @@ class ForcingProfile:
     # closed-form transform hooks, optional:
     transform: Optional[Callable] = None  # (lam, t) -> fhat(lam, t)
     grouped_time_transform: Optional[Callable] = None  # (lam, w, t)
-    x_trace_profile: Optional[Callable] = None  # order j -> DataProfile of t
+    factors: Optional[tuple] = None  # (xp, tp) when f(x, t) = xp(x) * tp(t)
     params: dict = field(default_factory=dict)
 
     def __call__(self, x, t):
@@ -203,16 +205,23 @@ def _x_times_gaussian(a: float) -> DataProfile:
     )
 
 
+_BUMP_RULES = np.array([96, 128, 192, 256, 384, 512, 768])
+
+
 def _bump(a: float, b: float) -> DataProfile:
     """exp(-1/((x-a)(b-x))) on (a, b), zero elsewhere.
 
     Derivatives follow the closed recursion u^(k) = N_k/Q^(2k) * e^{-1/Q}
     with Q = (x-a)(b-x); N_{k+1} = N_k' Q^2 - 2k N_k Q Q' + N_k Q'.
 
-    The compact support makes the half-line transform entire; it is
-    provided as a fixed high-order Gauss-Legendre rule over the support,
-    spectrally accurate for |lambda| well beyond anything the contour
-    machinery requests.
+    The compact support makes the half-line transform entire; it is a
+    Gauss-Legendre rule over the support, per lambda the smallest of
+    ``_BUMP_RULES`` with n >= 96 max(1, h) + 0.7 |lambda| h, h = (b - a)/2,
+    so the nodes resolve e^{-i lambda y} across the support up to the cap.
+    Bump and rule are symmetric about c = (a + b)/2, so mirror nodes pair:
+    uhat = e^{-i lambda c} sum_{s_j > 0} 2 w_j phi(c + s_j) cos(lambda s_j).
+    Rules are built on first use; a race between solver threads only
+    rebuilds identical arrays.
     """
     if not (b > a >= 0):
         raise InvalidParameterError("bump requires 0 <= a < b")
@@ -248,13 +257,35 @@ def _bump(a: float, b: float) -> DataProfile:
         out[inside] = numerators[k](x[inside]) / qi ** (2 * k) * np.exp(-1.0 / qi)
         return out if out.ndim else float(out)
 
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(768)
-    ys = 0.5 * (b - a) * (gl_nodes + 1.0) + a
-    wu = 0.5 * (b - a) * gl_weights * evaluator(ys)
+    h, c = 0.5 * (b - a), 0.5 * (a + b)
+    rules = {}  # n -> (s_j > 0, 2 w_j phi(c + s_j)); built on first use
+
+    def rule(n):
+        if n not in rules:
+            nodes, weights = _gauss_legendre(n)
+            s = h * nodes[nodes > 0]
+            rules[n] = (s, 2.0 * h * weights[nodes > 0] * evaluator(c + s))
+        return rules[n]
 
     def transform(lam):
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        out = np.exp(-1j * np.outer(lam, ys)) @ wu.astype(complex)
+        need = 96.0 * max(1.0, h) + 0.7 * h * np.abs(lam)
+        sizes = _BUMP_RULES[
+            np.minimum(np.searchsorted(_BUMP_RULES, need), len(_BUMP_RULES) - 1)
+        ]
+        # far below the axis e^{-i lam c} underflows and cos(lam s) overflows
+        # while uhat stays representable: sum those points unpaired
+        sizes[-lam.imag * c > 700.0] = 0
+        out = np.empty_like(lam)
+        for n in np.unique(sizes):
+            pick = sizes == n
+            lp = lam[pick]
+            s, ws = rule(int(n) or int(_BUMP_RULES[-1]))
+            if n:
+                out[pick] = np.exp(-1j * c * lp) * (np.cos(np.outer(lp, s)) @ ws)
+            else:
+                y = np.outer(lp, c - s), np.outer(lp, c + s)
+                out[pick] = (np.exp(-1j * y[0]) + np.exp(-1j * y[1])) @ (0.5 * ws)
         return out
 
     return DataProfile(
@@ -431,7 +462,7 @@ def zero_forcing() -> ForcingProfile:
         grouped_time_transform=lambda lam, w, t: np.zeros_like(
             np.asarray(lam, dtype=complex)
         ),
-        x_trace_profile=lambda j: zero_t,
+        factors=(zero_t, zero_t),
         params={},
     )
 
@@ -445,17 +476,13 @@ def separable_forcing(xp: DataProfile, tp: DataProfile) -> ForcingProfile:
     if xp.transform is not None and tp.grouped_time_transform is not None:
         grouped = lambda lam, w, t: xp.transform(lam) * tp.grouped_time_transform(w, t)
 
-    def trace(j: int) -> DataProfile:
-        cj = float(xp.derivative(j, 0.0))
-        return combine_profiles(cj, tp, 0.0, _zero())
-
     return ForcingProfile(
         name=f"separable({xp.name},{tp.name})",
         evaluator=lambda x, t: xp(x) * tp(t),
         x_derivative_evaluator=lambda k, x, t: xp.derivative(k, x) * tp(t),
         transform=transform,
         grouped_time_transform=grouped,
-        x_trace_profile=trace,
+        factors=(xp, tp),
         params={"x": xp.spec(), "t": tp.spec()},
     )
 

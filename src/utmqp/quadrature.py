@@ -96,6 +96,17 @@ _G7_WEIGHTS = np.array(
     ]
 )
 
+_GL_CACHE: dict = {}
+
+
+def _gauss_legendre(n: int):
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [-1, 1],
+    built once per n.  Concurrent first calls may both build the rule;
+    they store identical arrays."""
+    if n not in _GL_CACHE:
+        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
+    return _GL_CACHE[n]
+
 
 @dataclass
 class Integrand:

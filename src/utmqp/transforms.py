@@ -25,8 +25,10 @@ from the derivatives of u0 at the origin,
     sum_{j=1..M} u0^(j-1)(0) / (i lam)^j,
 
 whose subtraction leaves a remainder O(lam^-(M+1)); the forcing analogue
-``forcing_tail_expansion`` does the same for fhat at fixed t.  These are
-the decay accelerators behind the stabilized real-line terms.
+``forcing_tail_expansion`` does the same for fhat at fixed t.  It needs a
+separable forcing f = xp(x) tp(t) (``ForcingProfile.factors``), whose
+expansion is the tail expansion of xp times tp(t).  These are the decay
+accelerators behind the stabilized real-line terms.
 """
 
 from __future__ import annotations
@@ -38,14 +40,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG
 from .errors import OutOfDomainError, SingularArgumentError
 from .profiles import DataProfile, ForcingProfile
-
-_GL_NODES_CACHE: dict = {}
-
-
-def _gauss_legendre(n: int):
-    if n not in _GL_NODES_CACHE:
-        _GL_NODES_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_NODES_CACHE[n]
+from .quadrature import _gauss_legendre
 
 
 def support_radius(func, tol: float) -> float:
@@ -89,17 +84,17 @@ def _quadrature_half_line(func, lam_arr, tol: float):
         # (n_lam, n_y) sample matrix; e^{-i lam y} bounded for Im lam <= 0
         return np.exp(-1j * np.outer(lam_arr, y)) * np.asarray(func(y))[None, :]
 
-    for n in (64, 128, 256, 512):
+    def rule(n):
         nodes, weights = _gauss_legendre(n)
-        y = 0.5 * x_max * (nodes + 1.0)
         w = 0.5 * x_max * weights
-        coarse = samples(y) @ w.astype(complex)
-        nodes2, weights2 = _gauss_legendre(2 * n)
-        y2 = 0.5 * x_max * (nodes2 + 1.0)
-        w2 = 0.5 * x_max * weights2
-        fine = samples(y2) @ w2.astype(complex)
+        return samples(0.5 * x_max * (nodes + 1.0)) @ w.astype(complex)
+
+    coarse = rule(64)
+    for n in (128, 256, 512, 1024):
+        fine = rule(n)
         if np.all(np.abs(fine - coarse) <= tol):
             return fine
+        coarse = fine
     return fine
 
 
@@ -227,48 +222,31 @@ def forcing_transforms(
     return fhat, ftilde
 
 
+def _factors(f: ForcingProfile):
+    if f.factors is None:
+        raise OutOfDomainError("forcing is not separable; tail subtraction unavailable")
+    return f.factors
+
+
 def forcing_tail_expansion(f: ForcingProfile, terms: int, lam, t: float):
-    """M-term large-lambda expansion of fhat(., t):
-    sum_j d^{j-1}f/dx^{j-1}(0, t) / (i lam)^j."""
-    if terms < 1:
-        raise SingularArgumentError("tail expansion needs at least one term")
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if np.any(lam_arr == 0):
-        raise SingularArgumentError("tail expansion is singular at lambda = 0")
-    inv = 1.0 / (1j * lam_arr)
-    out = np.zeros_like(lam_arr)
-    power = inv.copy()
-    for j in range(1, terms + 1):
-        out += float(f.x_derivative(j - 1, 0.0, t)) * power
-        power = power * inv
-    return out if np.ndim(lam) else complex(out[0])
+    """M-term large-lambda expansion of fhat(., t) for a separable forcing
+    f = xp(x) tp(t): sum_j xp^(j-1)(0) tp(t) / (i lam)^j."""
+    xp, tp = _factors(f)
+    return tail_expansion(xp, terms, lam) * tp(t)
 
 
 def grouped_forcing_tail_time_transform(
     f: ForcingProfile, terms: int, lam, w, t: float, tol: float | None = None
 ):
     """e^{-w t} htilde_M(lam, w, t): the grouped time transform of the
-    forcing tail expansion, rational in lam with boundary-trace time
-    transforms as coefficients.  Requires the forcing to expose its
-    x-derivative traces at x = 0 as time profiles."""
-    if terms < 1:
-        raise SingularArgumentError("tail expansion needs at least one term")
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if np.any(lam_arr == 0):
-        raise SingularArgumentError("tail expansion is singular at lambda = 0")
-    w_arr = np.broadcast_to(np.asarray(w, dtype=complex), lam_arr.shape)
-    if f.x_trace_profile is None:
-        raise OutOfDomainError(
-            "forcing does not expose boundary traces; tail subtraction unavailable"
-        )
-    inv = 1.0 / (1j * lam_arr)
-    out = np.zeros_like(lam_arr)
-    power = inv.copy()
-    for j in range(1, terms + 1):
-        trace = f.x_trace_profile(j - 1)
-        out += grouped_time_transform(trace, w_arr, t, tol) * power
-        power = power * inv
-    return out if np.ndim(lam) else complex(out[0])
+    forcing tail expansion.  For f = xp(x) tp(t) it factors into the tail
+    expansion of xp times the grouped time transform of tp, so the time
+    transform is computed once whatever the number of terms.  lam and w
+    must broadcast against each other."""
+    xp, tp = _factors(f)
+    tail = tail_expansion(xp, terms, lam)
+    w_arr = np.broadcast_to(np.asarray(w, dtype=complex), np.shape(tail))
+    return tail * grouped_time_transform(tp, w_arr, t, tol)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InvalidParameterError
 from .profiles import ProblemSpec
 from .solvers import solve, solve_derivative
-from .transforms import _gauss_legendre
+from .quadrature import _gauss_legendre
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,28 @@ class TestBump:
             assert abs(float(p.derivative(k, 1.0))) == 0.0
             assert abs(float(p.derivative(k, 3.0 - 1e-9))) < 1e-200
 
+    @pytest.mark.parametrize("a,b", [(1.0, 3.0), (0.0, 0.5), (2.0, 6.0), (0.0, 10.0)])
+    def test_transform_matches_fine_rule(self, a, b):
+        # the per-lambda rule size against a 2048-node rule over the support,
+        # relative to the sum of the absolute terms
+        from scipy.special import roots_legendre
+
+        p = builtin_profile("bump", a=a, b=b)
+        h = 0.5 * (b - a)
+        nodes, weights = roots_legendre(2048)
+        y = h * nodes + 0.5 * (a + b)
+        wy = h * weights * p(y)
+        radii = np.geomspace(1e-3, 600.0, 40) / h
+        angles = np.linspace(-math.pi, math.pi, 24, endpoint=False)
+        lam = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+        # above the axis the transform grows like e^{Im lam b}; below it
+        # stays bounded, also where |Im lam| h passes cos's overflow at 709
+        lam = lam[lam.imag * b <= 600.0]
+        kernel = np.exp(-1j * np.outer(lam, y))
+        ref = kernel @ wy
+        scale = np.abs(kernel) @ np.abs(wy)
+        assert np.all(np.abs(p.transform(lam) - ref) <= 3e-12 * scale)
+
 
 class TestCompatibility:
     def test_exp_decay_problem_heat(self):
@@ -199,8 +221,14 @@ class TestForcing:
         f = separable_forcing(
             builtin_profile("exp_decay", a=2.0), builtin_profile("exp_of_t", a=-1.0)
         )
-        trace1 = f.x_trace_profile(1)  # d/dx at 0 of e^{-2x} is -2
-        assert float(trace1(0.3)) == pytest.approx(-2.0 * math.exp(-0.3))
+        xp, tp = f.factors
+        # d/dx at 0 of e^{-2x} is -2
+        assert float(xp.derivative(1, 0.0) * tp(0.3)) == pytest.approx(
+            -2.0 * math.exp(-0.3)
+        )
+        assert float(f.x_derivative(1, 0.0, 0.3)) == pytest.approx(
+            -2.0 * math.exp(-0.3)
+        )
 
     def test_builtin_forcing_specs(self):
         assert builtin_forcing(None).is_zero()

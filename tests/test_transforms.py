@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from utmqp.errors import OutOfDomainError, SingularArgumentError
-from utmqp.profiles import builtin_profile, separable_forcing, zero_forcing
+from utmqp.profiles import (
+    builtin_profile,
+    combine_profiles,
+    separable_forcing,
+    zero_forcing,
+)
 from utmqp.transforms import (
     Dispersion,
     forcing_tail_expansion,
@@ -224,18 +229,30 @@ class TestForcingTransforms:
         assert max(bounds) <= 2.0 * bounds[0] + 1e-9
 
     def test_grouped_tail_time_transform_matches_componentwise(self):
-        f = separable_forcing(
-            builtin_profile("exp_decay", a=2.0), builtin_profile("exp_of_t", a=-1.0)
-        )
+        xp = builtin_profile("exp_decay", a=2.0)
         lam = np.array([3.0 + 0j, -5.0 + 1j])
         w = np.array([1.0 + 0j, 2.0 + 0.5j])
         t = 0.9
-        got = grouped_forcing_tail_time_transform(f, 3, lam, w, t)
-        expected = np.zeros_like(lam)
-        for j in range(1, 4):
-            trace = f.x_trace_profile(j - 1)
-            expected += grouped_time_transform(trace, w, t) / (1j * lam) ** j
-        assert np.allclose(got, expected, atol=1e-12)
+        exp_t = builtin_profile("exp_of_t", a=-1.0)
+        gauss_t = builtin_profile("gaussian", a=1.0)  # no closed time transform
+        for tp in (exp_t, gauss_t):
+            f = separable_forcing(xp, tp)
+            got = grouped_forcing_tail_time_transform(f, 3, lam, w, t)
+            expected = np.zeros_like(lam)
+            for j in range(1, 4):
+                # the trace d^{j-1}f/dx^{j-1}(0, t) as a time profile
+                cj = float(xp.derivative(j - 1, 0.0))
+                trace = combine_profiles(cj, tp, 0.0, builtin_profile("zero"))
+                expected += grouped_time_transform(trace, w, t) / (1j * lam) ** j
+            assert np.allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_tail_subtraction_needs_factors(self):
+        f = separable_forcing(
+            builtin_profile("exp_decay", a=2.0), builtin_profile("exp_of_t", a=-1.0)
+        )
+        bare = dataclasses.replace(f, factors=None)
+        with pytest.raises(OutOfDomainError):
+            grouped_forcing_tail_time_transform(bare, 3, 3.0 + 0j, 1.0 + 0j, 0.9)
 
 
 class TestDispersion:
