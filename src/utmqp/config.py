@@ -1,8 +1,10 @@
 """Numerical configuration knobs.
 
-All tolerances and deformation angles used by the quadrature engine and
-the solvers live here so the CLI can surface them as flags and test code
-can tighten them locally.
+The tolerance, budgets and expansion length that callers tune per run
+live here so the CLI can surface them as flags and test code can tighten
+them locally.  The contour geometry (ray rotations), the heat
+stabilization threshold and the derivative-order cap are fixed by the
+method and live with the solvers.
 """
 
 from __future__ import annotations
@@ -24,23 +26,11 @@ class SolverConfig:
     # number of terms kept in the large-lambda tail expansions of the
     # half-line transforms (raised automatically with derivative order)
     tail_terms: int = 6
-    # ray rotation toward the real axis used to gain exponential decay of
-    # the time factor on deformed contours (per dispersion family)
-    rotation_kdv: float = math.pi / 12.0
-    rotation_heat: float = math.pi / 8.0
-    # x beyond which the heat real-line term switches to the subtracted
-    # four-piece decomposition; the kdv real-line term always uses it
-    stabilize_threshold_heat: float = 5.0
-    # cap on k + order*m for derivative evaluation
-    max_order: int = 8
     # number of worker threads for grid sweeps (None: os.cpu_count())
     threads: int | None = None
 
     def with_tol(self, tol: float) -> "SolverConfig":
         return replace(self, tol=tol)
-
-    def rotation(self, pde: str) -> float:
-        return self.rotation_kdv if pde == "kdv" else self.rotation_heat
 
 
 DEFAULT_CONFIG = SolverConfig()

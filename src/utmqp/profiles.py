@@ -15,10 +15,10 @@ datum g0(t).  Optional capability hooks:
   the overflow-safe grouping of e^{-w t} with the time transform.  The
   raw time transform e^{+w t} * grouped is never formed internally.
 
-Forcing profiles add an (order, x, t) derivative in x; the separable
-implementation composes a spatial and a temporal DataProfile, which keeps
-every transform closed-form when both factors have one; it exposes the
-pair as ``factors``, through which the forcing tail terms are evaluated.
+A forcing is separable, f(x, t) = xp(x) tp(t), and a
+:class:`ForcingProfile` is nothing but its factor pair ``factors = (xp,
+tp)`` of DataProfiles: its values, x-derivatives and spec, and every
+forcing transform, derive from the two factors' own hooks.
 """
 
 from __future__ import annotations
@@ -86,36 +86,48 @@ class DataProfile:
 
 @dataclass
 class ForcingProfile:
-    """Smooth forcing f(x, t), Schwartz in x uniformly on compact t sets."""
+    """Separable forcing f(x, t) = xp(x) tp(t), Schwartz in x uniformly on
+    compact t sets; ``factors`` is the pair (xp, tp)."""
 
-    name: str
-    evaluator: Callable  # (x, t) -> value
-    x_derivative_evaluator: Callable  # (order, x, t) -> value
-    decay_class: str = SCHWARTZ
-    # closed-form transform hooks, optional:
-    transform: Optional[Callable] = None  # (lam, t) -> fhat(lam, t)
-    grouped_time_transform: Optional[Callable] = None  # (lam, w, t)
-    factors: Optional[tuple] = None  # (xp, tp) when f(x, t) = xp(x) * tp(t)
-    params: dict = field(default_factory=dict)
+    factors: tuple
 
     def __call__(self, x, t):
-        return self.evaluator(np.asarray(x, dtype=float), t)
+        xp, tp = self.factors
+        return xp(x) * tp(t)
 
     def x_derivative(self, order: int, x, t):
-        if order == 0:
-            return self.evaluator(np.asarray(x, dtype=float), t)
-        return self.x_derivative_evaluator(order, np.asarray(x, dtype=float), t)
+        xp, tp = self.factors
+        return xp.derivative(order, x) * tp(t)
 
     def is_zero(self) -> bool:
-        return self.name == "zero"
+        return any(p.is_zero() for p in self.factors)
 
     def spec(self) -> dict:
-        return {"name": self.name, **self.params}
+        if self.is_zero():
+            return {"name": "zero"}
+        xp, tp = self.factors
+        return {"name": "separable", "x": xp.spec(), "t": tp.spec()}
 
 
 # ---------------------------------------------------------------------------
 # built-in profiles
 # ---------------------------------------------------------------------------
+
+
+def _exp_of_t_complex(a: complex):
+    """(w, t) -> integral_0^t e^{-w (t - tau)} e^{a tau} d tau
+    = (e^{a t} - e^{-w t}) / (w + a), with its limit near w = -a."""
+
+    def grouped(w, t):
+        w = np.asarray(w, dtype=complex)
+        z = w + a
+        small = np.abs(z) < 1e-8
+        safe = np.where(small, 1.0, z)
+        main = (np.exp(a * t) - np.exp(-w * t)) / safe
+        lim = t * np.exp(a * t) * (1.0 - z * t / 2.0)
+        return np.where(small, lim, main)
+
+    return grouped
 
 
 def _exp_decay(a: float) -> DataProfile:
@@ -125,22 +137,12 @@ def _exp_decay(a: float) -> DataProfile:
     def transform(lam):
         return 1.0 / (a + 1j * np.asarray(lam, dtype=complex))
 
-    def grouped(w, t):
-        # integral_0^t e^{-w(t-tau)} e^{-a tau} d tau, stable for Re w >= 0
-        w = np.asarray(w, dtype=complex)
-        z = w - a
-        small = np.abs(z) < 1e-8
-        safe = np.where(small, 1.0, z)
-        main = (np.exp(-a * t) - np.exp(-w * t)) / safe
-        lim = t * np.exp(-a * t) * (1.0 + z * t / 2.0)
-        return np.where(small, lim, main)
-
     return DataProfile(
         name="exp_decay",
         evaluator=lambda x: np.exp(-a * x),
         derivative_evaluator=lambda k, x: (-a) ** k * np.exp(-a * x),
         transform=transform,
-        grouped_time_transform=grouped,
+        grouped_time_transform=_exp_of_t_complex(-a),
         transform_upper_ok=True,  # simple pole at i*a only, off the tilt sectors
         params={"a": a},
     )
@@ -315,21 +317,12 @@ def _constant(c: float) -> DataProfile:
 
 
 def _exp_of_t(a: float) -> DataProfile:
-    def grouped(w, t):
-        w = np.asarray(w, dtype=complex)
-        z = w + a
-        small = np.abs(z) < 1e-8
-        safe = np.where(small, 1.0, z)
-        main = (np.exp(a * t) - np.exp(-w * t)) / safe
-        lim = t * np.exp(a * t) * (1.0 - z * t / 2.0)
-        return np.where(small, lim, main)
-
     return DataProfile(
         name="exp_of_t",
         evaluator=lambda t: np.exp(a * t),
         derivative_evaluator=lambda k, t: a**k * np.exp(a * t),
         decay_class=SMOOTH_BOUNDED,
-        grouped_time_transform=grouped,
+        grouped_time_transform=_exp_of_t_complex(a),
         params={"a": a},
     )
 
@@ -350,19 +343,6 @@ def _sin_of_t(omega0: float) -> DataProfile:
         grouped_time_transform=grouped,
         params={"omega0": omega0},
     )
-
-
-def _exp_of_t_complex(a: complex):
-    def grouped(w, t):
-        w = np.asarray(w, dtype=complex)
-        z = w + a
-        small = np.abs(z) < 1e-8
-        safe = np.where(small, 1.0, z)
-        main = (np.exp(a * t) - np.exp(-w * t)) / safe
-        lim = t * np.exp(a * t) * (1.0 - z * t / 2.0)
-        return np.where(small, lim, main)
-
-    return grouped
 
 
 def _zero() -> DataProfile:
@@ -451,40 +431,12 @@ def combine_profiles(ca: float, pa: DataProfile, cb: float, pb: DataProfile) -> 
 
 
 def zero_forcing() -> ForcingProfile:
-    zero_t = _zero()
-    return ForcingProfile(
-        name="zero",
-        evaluator=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        x_derivative_evaluator=lambda k, x, t: np.zeros_like(
-            np.asarray(x, dtype=float)
-        ),
-        transform=lambda lam, t: np.zeros_like(np.asarray(lam, dtype=complex)),
-        grouped_time_transform=lambda lam, w, t: np.zeros_like(
-            np.asarray(lam, dtype=complex)
-        ),
-        factors=(zero_t, zero_t),
-        params={},
-    )
+    return ForcingProfile((_zero(), _zero()))
 
 
 def separable_forcing(xp: DataProfile, tp: DataProfile) -> ForcingProfile:
     """f(x, t) = xp(x) * tp(t)."""
-    transform = None
-    if xp.transform is not None:
-        transform = lambda lam, t: xp.transform(lam) * tp(t)
-    grouped = None
-    if xp.transform is not None and tp.grouped_time_transform is not None:
-        grouped = lambda lam, w, t: xp.transform(lam) * tp.grouped_time_transform(w, t)
-
-    return ForcingProfile(
-        name=f"separable({xp.name},{tp.name})",
-        evaluator=lambda x, t: xp(x) * tp(t),
-        x_derivative_evaluator=lambda k, x, t: xp.derivative(k, x) * tp(t),
-        transform=transform,
-        grouped_time_transform=grouped,
-        factors=(xp, tp),
-        params={"x": xp.spec(), "t": tp.spec()},
-    )
+    return ForcingProfile((xp, tp))
 
 
 def builtin_forcing(spec: dict | None) -> ForcingProfile:

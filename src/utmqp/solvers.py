@@ -136,16 +136,27 @@ class _Wedge:
     vertical_height: float
     far_radius: float
     contour: Contour
+    # ray tilt toward the real axis, gaining decay of the time factor on
+    # the deformed contours
+    rotation: float
 
 
 _WEDGES = {
     "kdv": _Wedge(
-        math.pi / 3.0, 2.0 * math.pi / 3.0, math.sqrt(3.0), 2.0, contours.kdv_contour()
+        math.pi / 3.0, 2.0 * math.pi / 3.0, math.sqrt(3.0), 2.0,
+        contours.kdv_contour(), math.pi / 12.0,
     ),
     "heat": _Wedge(
-        math.pi / 4.0, 3.0 * math.pi / 4.0, 1.0, math.sqrt(2.0), contours.heat_contour()
+        math.pi / 4.0, 3.0 * math.pi / 4.0, 1.0, math.sqrt(2.0),
+        contours.heat_contour(), math.pi / 8.0,
     ),
 }
+
+# x beyond which the heat real-line term switches to the subtracted
+# decomposition; the kdv real-line term always uses it
+_STABILIZE_THRESHOLD_HEAT = 5.0
+# cap on k + order*m for derivative evaluation
+_MAX_ORDER = 8
 
 # ---------------------------------------------------------------------------
 # contour splits
@@ -180,10 +191,10 @@ class _Split:
     tilted: Callable[[float], Contour]
 
 
-def _line_split(geo: _Wedge, rotation: float) -> _Split:
+def _line_split(geo: _Wedge) -> _Split:
     """The real line: [-1, 1], the tails |lambda| >= 1, and the expansion
-    carried up vertical segments onto the far wedge tilted by
-    ``rotation``."""
+    carried up vertical segments onto the far wedge tilted by its
+    rotation."""
     left, right, up = -1.0 + 0j, 1.0 + 0j, 1j * geo.vertical_height
     ray = Ray(right, 0.0)
     return _Split(
@@ -193,17 +204,17 @@ def _line_split(geo: _Wedge, rotation: float) -> _Split:
         expansion=(
             Contour((LineSegment(left + up, left), LineSegment(right, right + up))),
             _tilted_far_contour(
-                geo.theta_right, geo.theta_left, geo.far_radius, rotation
+                geo.theta_right, geo.theta_left, geo.far_radius, geo.rotation
             ),
         ),
         tilted=lambda delta: _tilted_far_contour(0.0, math.pi, 1.0, -delta),
     )
 
 
-def _wedge_split(geo: _Wedge, rotation: float) -> _Split:
+def _wedge_split(geo: _Wedge) -> _Split:
     """The wedge: its part inside the unit disk, the rays beyond it, and
-    the expansion carried around radius-1 arcs onto rays tilted by
-    ``rotation``."""
+    the expansion carried around radius-1 arcs onto rays tilted by its
+    rotation."""
     thr, thl = geo.theta_right, geo.theta_left
     left, right = cmath.exp(1j * thl), cmath.exp(1j * thr)
     ray = Ray(right, thr)
@@ -211,7 +222,7 @@ def _wedge_split(geo: _Wedge, rotation: float) -> _Split:
         central=Contour((LineSegment(left, 0j), LineSegment(0j, right))),
         remainder=Contour((Ray(left, thl, orientation=-1), ray)),
         envelope_ray=ray,
-        expansion=(_tilted_far_contour(thr, thl, 1.0, rotation),),
+        expansion=(_tilted_far_contour(thr, thl, 1.0, geo.rotation),),
         tilted=lambda delta: _tilted_far_contour(thr, thl, 1.0, delta),
     )
 
@@ -336,7 +347,7 @@ def _cubic_tilt(u0: DataProfile, t: float, config: SolverConfig, cap: float = 12
         r_star = (b * s1 / (order * t * s2)) ** (1.0 / (order - 1))
         return b * s1 * r_star * (1.0 - 1.0 / order)
 
-    d = config.rotation("kdv")
+    d = _WEDGES["kdv"].rotation
     while d > 1e-4 and max_exponent(d) > cap:
         d /= 1.5
     return d
@@ -368,7 +379,7 @@ def _initial_real_term(
     if not stabilized or (trivial and p.pde == "heat"):
         return integrate(build(uhat), contours.real_line(), tol, config)
 
-    split = _line_split(_WEDGES[p.pde], config.rotation(p.pde))
+    split = _line_split(_WEDGES[p.pde])
     if trivial:
         # the cubic oscillatory tails are instead lifted off the real
         # axis, which the transform's continuation permits
@@ -392,7 +403,8 @@ def _initial_wedge_term(
     terms = _effective_terms(config, disp, k, m)
     uhat = lambda lam: half_line_fourier(p.u0, lam, tol)
     sigma = lambda lam: tail_expansion(p.u0, terms, lam)
-    split = _wedge_split(_WEDGES[p.pde], config.rotation(p.pde))
+    geo = _WEDGES[p.pde]
+    split = _wedge_split(geo)
 
     if p.pde == "kdv":
         full = _alpha_combo(uhat, check_domain=True)
@@ -407,7 +419,7 @@ def _initial_wedge_term(
         # stays in the transform's half-plane under the tilt; the cubic
         # one needs the upward continuation.
         if p.pde == "heat":
-            return _split_term(build, full, None, split, config.rotation_heat, config)
+            return _split_term(build, full, None, split, geo.rotation, config)
         if p.u0.transform_upper_ok:
             full = _alpha_combo(uhat)  # tilted args leave the wedge
             delta = _cubic_tilt(p.u0, t, config)
@@ -433,7 +445,8 @@ def _boundary_term(
         return d
 
     g = _grouped_integrand(disp, k, x, t, coef)(grouped)
-    contour = rotate_rays(_WEDGES[p.pde].contour, config.rotation(p.pde))
+    geo = _WEDGES[p.pde]
+    contour = rotate_rays(geo.contour, geo.rotation)
     return integrate(g, contour, tol, config)
 
 
@@ -460,7 +473,7 @@ def _forcing_real_term(
         return d
 
     build = _grouped_integrand(disp, k, x, t, _one)
-    split = _line_split(_WEDGES[p.pde], config.rotation(p.pde))
+    split = _line_split(_WEDGES[p.pde])
     return _split_term(build, ftilde_grouped, htilde_grouped, split, None, config)
 
 
@@ -483,7 +496,8 @@ def _forcing_wedge_term(
                 d = forcing_transform(f, -lam, t, tol) - w * d
             return d
 
-        contour = rotate_rays(_WEDGES[p.pde].contour, config.rotation(p.pde))
+        geo = _WEDGES[p.pde]
+        contour = rotate_rays(geo.contour, geo.rotation)
         return integrate(build(grouped), contour, tol, config)
 
     terms = _effective_terms(config, disp, k, m)
@@ -505,7 +519,7 @@ def _forcing_wedge_term(
         tail = lambda lam: hm_combo(lam) - disp.w(lam) * tail0(lam)
     else:
         full, tail = full0, tail0
-    split = _wedge_split(_WEDGES[p.pde], config.rotation(p.pde))
+    split = _wedge_split(_WEDGES[p.pde])
     return _split_term(build, full, tail, split, None, config)
 
 
@@ -514,7 +528,7 @@ def _forcing_wedge_term(
 # ---------------------------------------------------------------------------
 
 
-def _validate(p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig):
+def _validate(p: ProblemSpec, k: int, m: int, x: float, t: float):
     if x <= 0 or t <= 0:
         raise InvalidParameterError(
             "the representation is defined for x > 0, t > 0; boundary values "
@@ -523,27 +537,26 @@ def _validate(p: ProblemSpec, k: int, m: int, x: float, t: float, config: Solver
     if k < 0 or m < 0:
         raise UnsupportedOrderError("derivative orders must be nonnegative")
     order = 2 if p.pde == "heat" else 3
-    if k + order * m > config.max_order:
+    if k + order * m > _MAX_ORDER:
         raise UnsupportedOrderError(
-            f"k + {order}*m = {k + order * m} exceeds configured max order "
-            f"{config.max_order}"
+            f"k + {order}*m = {k + order * m} exceeds max order {_MAX_ORDER}"
         )
     if m > 1 and not p.f.is_zero():
         raise UnsupportedOrderError(
             "time-derivative orders above 1 require zero forcing (the forcing "
-            "profile exposes no time derivatives)"
+            "terms implement one time derivative, d/dt G = fhat - w G)"
         )
 
 
 def _raw_terms(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ):
-    _validate(p, k, m, x, t, config)
+    _validate(p, k, m, x, t)
 
     if p.u0.is_zero():
         init_line = init_wedge = ZERO_RESULT
     else:
-        stabilized = p.pde == "kdv" or x >= config.stabilize_threshold_heat
+        stabilized = p.pde == "kdv" or x >= _STABILIZE_THRESHOLD_HEAT
         init_line = _initial_real_term(p, k, m, x, t, config, stabilized)
         init_wedge = _initial_wedge_term(p, k, m, x, t, config)
 
@@ -642,7 +655,7 @@ def stabilized_real_line_term(
     """The real-line term evaluated through the subtracted four-piece
     decomposition (central + subtracted tails + verticals + tilted far
     wedge).  ``which`` selects the initial-datum or forcing term."""
-    _validate(p, k, m, x, t, config)
+    _validate(p, k, m, x, t)
     if which == "initial":
         if p.u0.is_zero():
             return 0j
@@ -671,7 +684,7 @@ def direct_real_line_term(
     tilted rays instead; this requires a transform with a closed-form
     continuation just above the real axis.
     """
-    _validate(p, k, m, x, t, config)
+    _validate(p, k, m, x, t)
     disp = Dispersion(p.pde)
     if p.u0.is_zero():
         return 0j
@@ -686,9 +699,9 @@ def direct_real_line_term(
         raise OutOfDomainError(
             "direct cubic-family evaluation needs a continuable transform"
         )
-    delta = config.rotation(p.pde)
-    split = _line_split(_WEDGES[p.pde], delta)
-    return _split_term(build, uhat, None, split, delta, config.with_tol(tol / 2)).value
+    geo = _WEDGES[p.pde]
+    cfg = config.with_tol(tol / 2)
+    return _split_term(build, uhat, None, _line_split(geo), geo.rotation, cfg).value
 
 
 def solve_grid(

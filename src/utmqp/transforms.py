@@ -25,10 +25,14 @@ from the derivatives of u0 at the origin,
     sum_{j=1..M} u0^(j-1)(0) / (i lam)^j,
 
 whose subtraction leaves a remainder O(lam^-(M+1)); the forcing analogue
-``forcing_tail_expansion`` does the same for fhat at fixed t.  It needs a
-separable forcing f = xp(x) tp(t) (``ForcingProfile.factors``), whose
-expansion is the tail expansion of xp times tp(t).  These are the decay
-accelerators behind the stabilized real-line terms.
+``forcing_tail_expansion`` does the same for fhat at fixed t.  These are
+the decay accelerators behind the stabilized real-line terms.
+
+A forcing is separable, f = xp(x) tp(t) (``ForcingProfile.factors``), so
+each forcing transform is a transform of xp -- uhat_xp or its tail
+expansion -- times tp(t) or the grouped time transform of tp.  The full
+forcing transform and its tail expansion therefore share one time rule,
+and their difference decays like the spatial remainder.
 """
 
 from __future__ import annotations
@@ -56,8 +60,8 @@ def support_radius(func, tol: float) -> float:
     raise OutOfDomainError("profile does not appear to decay")
 
 
-def _time_panels(w_arr, t: float, n: int):
-    """(nodes, weights) of n-point Gauss-Legendre panels on nu in [0, t],
+def _time_panels(w_arr, t: float):
+    """(nodes, weights) of 24-point Gauss-Legendre panels on nu in [0, t],
     doubling in width away from nu = 0 from a first width that resolves
     the boundary layer of width 1/max Re w."""
     rate = float(np.max(np.clip(w_arr.real, 0.0, None)))
@@ -69,7 +73,7 @@ def _time_panels(w_arr, t: float, n: int):
         edges.append(nxt)
         nu = nxt
         width *= 2.0
-    nodes, weights = _gauss_legendre(n)
+    nodes, weights = _gauss_legendre(24)
     for a, b in zip(edges[:-1], edges[1:]):
         yield 0.5 * (b - a) * (nodes + 1.0) + a, 0.5 * (b - a) * weights
 
@@ -157,7 +161,7 @@ def grouped_time_transform(g0: DataProfile, w, t: float, tol: float | None = Non
 
     # generic path: geometric panels in nu = t - tau, resolved per max Re w
     out = np.zeros_like(w_arr)
-    for nu_nodes, wq in _time_panels(w_arr, t, 24):
+    for nu_nodes, wq in _time_panels(w_arr, t):
         g_vals = np.asarray(g0(t - nu_nodes), dtype=complex)
         out += (np.exp(-np.outer(w_arr, nu_nodes)) * (g_vals * wq)[None, :]).sum(axis=1)
     return out if np.ndim(w) else complex(out[0])
@@ -175,41 +179,28 @@ def time_transform(g0: DataProfile, w, t: float, tol: float | None = None):
 
 
 def forcing_transform(f: ForcingProfile, lam, t: float, tol: float | None = None):
-    """fhat(lam, t), vectorized over lam."""
-    tol = DEFAULT_CONFIG.tol if tol is None else tol
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if f.transform is not None:
-        out = np.asarray(f.transform(lam_arr, t), dtype=complex)
-        return out if np.ndim(lam) else complex(out[0])
-    if np.any(lam_arr.imag > 1e-9 * (1.0 + np.abs(lam_arr))):
-        raise OutOfDomainError("fhat requested for Im lambda > 0 without closed form")
-    out = _quadrature_half_line(lambda y: f(y, t), lam_arr, tol)
-    return out if np.ndim(lam) else complex(out[0])
+    """fhat(lam, t) = uhat_xp(lam) tp(t), vectorized over lam."""
+    xp, tp = f.factors
+    return half_line_fourier(xp, lam, tol) * tp(t)
+
+
+def _times_grouped_tp(spatial, tp: DataProfile, w, t: float, tol):
+    """spatial * integral_0^t e^{-w(t-tau)} tp(tau) d tau, with w
+    broadcast to the shape of ``spatial``."""
+    w_arr = np.broadcast_to(np.asarray(w, dtype=complex), np.shape(spatial))
+    return spatial * grouped_time_transform(tp, w_arr, t, tol)
 
 
 def grouped_forcing_time_transform(
     f: ForcingProfile, lam, w, t: float, tol: float | None = None
 ):
-    """e^{-w t} ftilde(lam, w, t) = integral_0^t e^{-w(t-tau)} fhat(lam, tau) d tau.
+    """e^{-w t} ftilde(lam, w, t) = integral_0^t e^{-w(t-tau)} fhat(lam, tau) d tau
+    = uhat_xp(lam) times the grouped time transform of tp.
 
     lam and w must broadcast against each other.
     """
-    tol = DEFAULT_CONFIG.tol if tol is None else tol
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    w_arr = np.broadcast_to(np.asarray(w, dtype=complex), lam_arr.shape)
-    if t == 0:
-        out = np.zeros_like(lam_arr)
-        return out if np.ndim(lam) else complex(out[0])
-    if f.grouped_time_transform is not None:
-        out = np.asarray(f.grouped_time_transform(lam_arr, w_arr, t), dtype=complex)
-        return out if np.ndim(lam) else complex(out[0])
-
-    out = np.zeros_like(lam_arr)
-    for nu_nodes, wq in _time_panels(w_arr, t, 16):
-        for nu_k, w_k in zip(nu_nodes, wq):
-            fh = forcing_transform(f, lam_arr, t - nu_k, tol)
-            out += np.exp(-w_arr * nu_k) * fh * w_k
-    return out if np.ndim(lam) else complex(out[0])
+    xp, tp = f.factors
+    return _times_grouped_tp(half_line_fourier(xp, lam, tol), tp, w, t, tol)
 
 
 def forcing_transforms(
@@ -222,16 +213,10 @@ def forcing_transforms(
     return fhat, ftilde
 
 
-def _factors(f: ForcingProfile):
-    if f.factors is None:
-        raise OutOfDomainError("forcing is not separable; tail subtraction unavailable")
-    return f.factors
-
-
 def forcing_tail_expansion(f: ForcingProfile, terms: int, lam, t: float):
     """M-term large-lambda expansion of fhat(., t) for a separable forcing
     f = xp(x) tp(t): sum_j xp^(j-1)(0) tp(t) / (i lam)^j."""
-    xp, tp = _factors(f)
+    xp, tp = f.factors
     return tail_expansion(xp, terms, lam) * tp(t)
 
 
@@ -243,10 +228,8 @@ def grouped_forcing_tail_time_transform(
     expansion of xp times the grouped time transform of tp, so the time
     transform is computed once whatever the number of terms.  lam and w
     must broadcast against each other."""
-    xp, tp = _factors(f)
-    tail = tail_expansion(xp, terms, lam)
-    w_arr = np.broadcast_to(np.asarray(w, dtype=complex), np.shape(tail))
-    return tail * grouped_time_transform(tp, w_arr, t, tol)
+    xp, tp = f.factors
+    return _times_grouped_tp(tail_expansion(xp, terms, lam), tp, w, t, tol)
 
 
 @dataclass(frozen=True)

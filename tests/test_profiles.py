@@ -27,6 +27,14 @@ ALL_NAMES = [
     ("zero", {}),
 ]
 
+EXP = {"name": "exp_decay", "a": 1.0}
+EXP_T = {"name": "exp_of_t", "a": -1.0}
+GAUSS = {"name": "gaussian", "a": 1.0}
+
+
+def _separable(x, t):
+    return {"name": "separable", "x": x, "t": t}
+
 
 class TestBuiltins:
     def test_exp_decay_values(self):
@@ -255,6 +263,23 @@ class TestProblemSerialization:
         assert p.to_dict()["u0"] == {"name": "exp_decay", "a": 1.0}
         again = problem_from_dict(json.loads(json.dumps(p.to_dict())))
         assert again.to_dict() == p.to_dict()
+
+    @pytest.mark.parametrize("pde", ["heat", "kdv"])
+    @pytest.mark.parametrize(
+        "g0,f",
+        [
+            (EXP_T, _separable(EXP, {"name": "constant", "c": 1.0})),
+            (EXP_T, _separable(GAUSS, EXP_T)),
+            (EXP_T, _separable(GAUSS, {"name": "sin_of_t", "omega0": 1.0})),
+            (GAUSS, {"name": "zero"}),
+            ({"name": "x_times_gaussian", "a": 1.0}, {"name": "zero"}),
+            (EXP_T, _separable(EXP, GAUSS)),
+        ],
+    )
+    def test_forced_round_trip(self, pde, g0, f):
+        p = problem_from_dict({"pde": pde, "u0": EXP, "g0": g0, "f": f})
+        assert p.to_dict()["f"] == f
+        assert problem_from_dict(p.to_dict()).to_dict() == p.to_dict()
 
     def test_rejects_non_decaying_initial_datum(self):
         with pytest.raises(InvalidParameterError):

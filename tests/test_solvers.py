@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +134,23 @@ class TestHeatSolver:
         got = solve_derivative(p, 0, 1, x, t)
         ref = solve_derivative(p, 0, 1, x, t, TIGHT)
         assert abs(got.value - ref.value) <= got.error_estimate + ref.error_estimate
+
+    @pytest.mark.parametrize("pde", ["heat", "kdv"])
+    @pytest.mark.parametrize(
+        "x,t,k,m", [(1.5, 0.4, 0, 0), (5.0, 1.0, 0, 0), (0.5, 0.05, 1, 0), (2.0, 0.7, 0, 1)]
+    )
+    def test_generic_time_factor_matches_closed_form(self, pde, x, t, k, m):
+        # the same forcing with its time factor's closed form stripped: the
+        # full and tail forcing transforms then share the generic time rule
+        tp = builtin_profile("exp_of_t", a=-1.0)
+        bare = dataclasses.replace(tp, grouped_time_transform=None)
+        zero = builtin_profile("zero")
+        xp = builtin_profile("exp_decay", a=1.0)
+        closed = ProblemSpec(pde, zero, zero, separable_forcing(xp, tp))
+        generic = ProblemSpec(pde, zero, zero, separable_forcing(xp, bare))
+        a = solve_derivative(closed, k, m, x, t)
+        b = solve_derivative(generic, k, m, x, t)
+        assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
     def test_nondecaying_forcing_is_rejected(self):
         constant = builtin_profile("constant", c=1.0)

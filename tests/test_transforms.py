@@ -163,6 +163,17 @@ class TestTimeTransform:
         g0 = builtin_profile("constant", c=3.0)
         assert grouped_time_transform(g0, 1.0 + 1j, 0.0) == 0
 
+    @pytest.mark.parametrize("a", [1.0, 2.5])
+    def test_exp_decay_closed_form_near_its_pole(self, a):
+        # within 1e-8 of w = a the closed form switches to its limit
+        g0 = builtin_profile("exp_decay", a=a)
+        bare = dataclasses.replace(g0, grouped_time_transform=None)
+        for w in (a + 5e-9, a - 5e-9, a + 5e-9j):
+            for t in (0.5, 2.0):
+                got = grouped_time_transform(g0, w + 0j, t)
+                ref = grouped_time_transform(bare, w + 0j, t, tol=1e-13)
+                assert abs(got - ref) <= 1e-13 * abs(ref)
+
 
 class TestForcingTransforms:
     def test_zero_forcing(self):
@@ -180,10 +191,12 @@ class TestForcingTransforms:
         assert ftilde == pytest.approx(fhat * (np.exp(w * t) - 1.0) / w)
 
     def test_generic_paths_match_separable_closed_form(self):
-        f = separable_forcing(
-            builtin_profile("exp_decay", a=1.0), builtin_profile("exp_of_t", a=-1.0)
+        xp = builtin_profile("exp_decay", a=1.0)
+        tp = builtin_profile("exp_of_t", a=-1.0)
+        f = separable_forcing(xp, tp)
+        bare = separable_forcing(
+            strip_closed_forms(xp), dataclasses.replace(tp, grouped_time_transform=None)
         )
-        bare = dataclasses.replace(f, transform=None, grouped_time_transform=None)
         lam = np.array([1.5 + 0j, -2.0 - 0.5j, 0.3 - 1.0j])
         w = np.array([0.7 + 0.4j, 4.0 + 0j, 20.0 - 3.0j])
         t = 0.9
@@ -245,14 +258,6 @@ class TestForcingTransforms:
                 trace = combine_profiles(cj, tp, 0.0, builtin_profile("zero"))
                 expected += grouped_time_transform(trace, w, t) / (1j * lam) ** j
             assert np.allclose(got, expected, rtol=0, atol=1e-12)
-
-    def test_tail_subtraction_needs_factors(self):
-        f = separable_forcing(
-            builtin_profile("exp_decay", a=2.0), builtin_profile("exp_of_t", a=-1.0)
-        )
-        bare = dataclasses.replace(f, factors=None)
-        with pytest.raises(OutOfDomainError):
-            grouped_forcing_tail_time_transform(bare, 3, 3.0 + 0j, 1.0 + 0j, 0.9)
 
 
 class TestDispersion:
