@@ -313,6 +313,13 @@ def _integrate_segment(
         evaluations += ss.size
         return _gk_panels(vals, vel, half)
 
+    def result() -> QuadratureResult:
+        # panels summed in ascending parameter order, for determinism
+        order = np.argsort(a, kind="stable")
+        return QuadratureResult(
+            complex(values[order].sum()), float(errors.sum()), evaluations
+        )
+
     a, b = _initial_panels(g, seg, s0, s1, cfg)
     values, errors, masses = evaluate(a, b)
 
@@ -331,20 +338,14 @@ def _integrate_segment(
                 # dominated by the roundoff noise of the |K15 - G7|
                 # comparison; report it honestly and stop
                 break
-            order = np.argsort(a, kind="stable")
-            best = QuadratureResult(
-                complex(values[order].sum()), float(errors.sum()), evaluations
-            )
+            best = result()
             raise AccuracyError(
                 f"refinement stalled at err {best.error_estimate:.3e} "
                 f"(tol {tol:.3e}); integrand may be singular on the contour",
                 best=best,
             )
         if len(a) >= cfg.max_panels:
-            order = np.argsort(a, kind="stable")
-            best = QuadratureResult(
-                complex(values[order].sum()), float(errors.sum()), evaluations
-            )
+            best = result()
             raise AccuracyError(
                 f"panel budget {cfg.max_panels} exhausted "
                 f"(err {best.error_estimate:.3e} > tol {tol:.3e})",
@@ -375,9 +376,7 @@ def _integrate_segment(
         else:
             stalled += 1
 
-    order = np.argsort(a, kind="stable")
-    total = complex(values[order].sum())
-    return QuadratureResult(total, float(errors.sum()), evaluations)
+    return result()
 
 
 def integrate(

@@ -28,34 +28,38 @@ with s_w = +1 for the cubic (KdV) family and -1 for the heat family:
   (The boundary coefficient 2 i lam is pinned by the image-kernel oracle
   and by the closed form of the step-datum solution.)
 
+The two families differ only in the entries of one ``_Family`` record:
+the dispersion, the wedge and its rotation, the boundary coefficient, the
+wedge map (the cube-root combination above, or the reflection lam -> -lam),
+the five signs, and the x from which the real-line initial term is
+subtracted.
+
 Every term is evaluated with overflow-safe groupings (the time transforms
 only ever appear as e^{-w t} gtilde) and with contour decompositions that
-give genuinely decaying integrands at all (x, t).  Each subtracted term
-uses one of two splits at |lam| = 1, held as data (``_Split``) and
-integrated by the one builder ``_split_term``: a central piece carrying
-the full integrand, remainder rays carrying it minus its M-term
-large-lambda expansion (O(lam^{-M-1}), absolutely integrable), and the
-expansion itself pushed where the time factor decays like
-e^{-c t |lam|^order}.
+give genuinely decaying integrands at all (x, t):
 
-* The line split (both real-line terms) pushes the expansion up short
-  vertical segments onto the far wedge, its rays tilted slightly toward
-  the real axis.  The heat initial term may instead be integrated
-  directly on the real line (its Gaussian time factor already decays).
+* Boundary terms and every heat wedge term stay bounded as the wedge
+  rotates toward the real axis (the reflected argument -lam remains in
+  the transforms' lower half-plane), so they are integrated whole on the
+  rotated wedge.  The heat initial real-line term below x = 5 is
+  integrated directly on the real line (its Gaussian factor decays).
 
-* The wedge split (the initial and cubic forcing wedge terms) carries the
-  expansion around radius-1 arcs onto tilted rays.
-
-* A datum whose origin derivatives all vanish has nothing to subtract;
-  its split's tails are tilted by a safe angle instead.
-
-* Boundary terms (and the heat forcing wedge term) have entire, bounded
-  grouped integrands, so the whole wedge is rotated toward the real axis.
+* The other terms split at |lam| = 1, the split held as data (``_Split``)
+  and integrated by the one builder ``_split_term``: a central piece
+  carrying the full integrand, remainder rays carrying it minus its
+  M-term large-lambda expansion (O(lam^{-M-1}), absolutely integrable),
+  and the expansion itself pushed where the time factor decays like
+  e^{-c t |lam|^order}.  The line split (real-line terms) pushes it up
+  short vertical segments onto the far wedge, tilted toward the real
+  axis; the wedge split (cubic wedge terms) around radius-1 arcs onto
+  tilted rays.  A datum whose origin derivatives all vanish has nothing
+  to subtract: its split's tails are tilted by a safe angle instead (on
+  the heat real line it is integrated directly).
 
 Derivatives in x multiply integrands by (i lam)^k; derivatives in t
 multiply data terms by (-w)^m and act on the grouped time transforms of
-the boundary/forcing terms through the exact recursion
-d/dt G = g(t) - w G.
+the boundary/forcing terms through one rule, the exact recursion
+d/dt G = g(t) - w G (``_time_derivative``).
 """
 
 from __future__ import annotations
@@ -105,8 +109,6 @@ class CubeRoots:
 
 
 CUBE_ROOTS = CubeRoots()
-_ALPHA = CUBE_ROOTS.alpha
-_ALPHA_SQ = CUBE_ROOTS.alpha_sq
 
 
 @dataclass(frozen=True)
@@ -129,32 +131,6 @@ class FieldSample:
         return float(abs(sum(self.term_breakdown).imag)) / (2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class _Wedge:
-    theta_right: float
-    theta_left: float
-    vertical_height: float
-    far_radius: float
-    contour: Contour
-    # ray tilt toward the real axis, gaining decay of the time factor on
-    # the deformed contours
-    rotation: float
-
-
-_WEDGES = {
-    "kdv": _Wedge(
-        math.pi / 3.0, 2.0 * math.pi / 3.0, math.sqrt(3.0), 2.0,
-        contours.kdv_contour(), math.pi / 12.0,
-    ),
-    "heat": _Wedge(
-        math.pi / 4.0, 3.0 * math.pi / 4.0, 1.0, math.sqrt(2.0),
-        contours.heat_contour(), math.pi / 8.0,
-    ),
-}
-
-# x beyond which the heat real-line term switches to the subtracted
-# decomposition; the kdv real-line term always uses it
-_STABILIZE_THRESHOLD_HEAT = 5.0
 # cap on k + order*m for derivative evaluation
 _MAX_ORDER = 8
 
@@ -181,100 +157,49 @@ def _tilted_far_contour(thr: float, thl: float, radius: float, delta: float) -> 
 @dataclass(frozen=True)
 class _Split:
     """The pieces of a term split at |lambda| = 1: ``central``, the
-    ``remainder`` rays (envelope probed along ``envelope_ray``), the
-    ``expansion`` contours, and ``tilted(delta)`` for expansion-free data."""
+    ``remainder`` rays (inbound left, outbound right), the ``expansion``
+    contours, and ``tilted(delta)`` for expansion-free data."""
 
     central: Contour
     remainder: Contour
-    envelope_ray: Ray
     expansion: tuple
     tilted: Callable[[float], Contour]
 
 
-def _line_split(geo: _Wedge) -> _Split:
+def _line_split(
+    thr: float, thl: float, height: float, far: float, rotation: float
+) -> _Split:
     """The real line: [-1, 1], the tails |lambda| >= 1, and the expansion
-    carried up vertical segments onto the far wedge tilted by its
-    rotation."""
-    left, right, up = -1.0 + 0j, 1.0 + 0j, 1j * geo.vertical_height
-    ray = Ray(right, 0.0)
+    carried up vertical segments of ``height`` onto the wedge rays at
+    ``thr`` and ``thl`` beyond radius ``far``, tilted by ``rotation``."""
+    left, right, up = -1.0 + 0j, 1.0 + 0j, 1j * height
     return _Split(
         central=Contour((LineSegment(left, right),)),
-        remainder=Contour((Ray(left, math.pi, orientation=-1), ray)),
-        envelope_ray=ray,
+        remainder=Contour((Ray(left, math.pi, orientation=-1), Ray(right, 0.0))),
         expansion=(
             Contour((LineSegment(left + up, left), LineSegment(right, right + up))),
-            _tilted_far_contour(
-                geo.theta_right, geo.theta_left, geo.far_radius, geo.rotation
-            ),
+            _tilted_far_contour(thr, thl, far, rotation),
         ),
         tilted=lambda delta: _tilted_far_contour(0.0, math.pi, 1.0, -delta),
     )
 
 
-def _wedge_split(geo: _Wedge) -> _Split:
+def _wedge_split(thr: float, thl: float, rotation: float) -> _Split:
     """The wedge: its part inside the unit disk, the rays beyond it, and
-    the expansion carried around radius-1 arcs onto rays tilted by its
-    rotation."""
-    thr, thl = geo.theta_right, geo.theta_left
+    the expansion carried around radius-1 arcs onto rays tilted by
+    ``rotation``."""
     left, right = cmath.exp(1j * thl), cmath.exp(1j * thr)
-    ray = Ray(right, thr)
     return _Split(
         central=Contour((LineSegment(left, 0j), LineSegment(0j, right))),
-        remainder=Contour((Ray(left, thl, orientation=-1), ray)),
-        envelope_ray=ray,
-        expansion=(_tilted_far_contour(thr, thl, 1.0, geo.rotation),),
+        remainder=Contour((Ray(left, thl, orientation=-1), Ray(right, thr))),
+        expansion=(_tilted_far_contour(thr, thl, 1.0, rotation),),
         tilted=lambda delta: _tilted_far_contour(thr, thl, 1.0, delta),
     )
 
 
 # ---------------------------------------------------------------------------
-# integrand builders
+# the two families
 # ---------------------------------------------------------------------------
-
-
-def _data_integrand(
-    disp: Dispersion, k: int, m: int, x: float, t: float
-) -> Callable[[Callable], Integrand]:
-    """spatial -> the integrand (i lam)^k (-w)^m e^{i lam x - w t}
-    spatial(lam)."""
-
-    def density(lam):
-        return x + t * np.abs(disp.dw(lam))
-
-    def build(spatial: Callable) -> Integrand:
-        def evaluator(lam):
-            w = disp.w(lam)
-            mult = (1j * lam) ** k if k else 1.0
-            if m:
-                mult = mult * (-w) ** m
-            return mult * np.exp(1j * lam * x - w * t) * spatial(lam)
-
-        return Integrand(evaluator, phase_density=density)
-
-    return build
-
-
-def _grouped_integrand(
-    disp: Dispersion, k: int, x: float, t: float, coef: Callable
-) -> Callable[[Callable], Integrand]:
-    """grouped -> the integrand (i lam)^k coef(lam) e^{i lam x}
-    grouped(lam); the time decay lives inside ``grouped``."""
-
-    def density(lam):
-        return x + t * np.abs(disp.dw(lam))
-
-    def build(grouped: Callable) -> Integrand:
-        def evaluator(lam):
-            mult = (1j * lam) ** k if k else 1.0
-            return mult * coef(lam) * np.exp(1j * lam * x) * grouped(lam)
-
-        return Integrand(evaluator, phase_density=density)
-
-    return build
-
-
-def _one(lam):
-    return np.ones_like(np.asarray(lam, dtype=complex))
 
 
 def _alpha_combo(func: Callable, check_domain: bool = False) -> Callable:
@@ -284,16 +209,129 @@ def _alpha_combo(func: Callable, check_domain: bool = False) -> Callable:
 
     def combo(lam):
         lam = np.asarray(lam, dtype=complex)
-        za, zb = _ALPHA * lam, _ALPHA_SQ * lam
+        za, zb = CUBE_ROOTS.alpha * lam, CUBE_ROOTS.alpha_sq * lam
         if check_domain:
             slack = 1e-9 * (1.0 + np.abs(lam))
             if np.any(za.imag > slack) or np.any(zb.imag > slack):
                 raise OutOfDomainError(
                     "rotated transform argument left the lower half-plane"
                 )
-        return _ALPHA * func(za) + _ALPHA_SQ * func(zb)
+        return CUBE_ROOTS.alpha * func(za) + CUBE_ROOTS.alpha_sq * func(zb)
 
     return combo
+
+
+def _reflect(func: Callable) -> Callable:
+    """lam -> f(-lam), in the lower half-plane for every lam in the upper;
+    only the cubic wedge split asks a wedge map to check its domain."""
+    return lambda lam: func(-np.asarray(lam, dtype=complex))
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What the five terms of one PDE family need.  ``rotated`` is the wedge
+    tilted by ``rotation`` toward the real axis.  ``wedge_split`` is None
+    for heat, whose time factor decays on the real axis: its wedge terms
+    are integrated whole on ``rotated`` (see the module docstring)."""
+
+    disp: Dispersion
+    rotation: float
+    rotated: Contour
+    line_split: _Split
+    wedge_split: _Split | None
+    boundary_coef: Callable
+    wedge_map: Callable
+    signs: tuple
+    stabilize_from: float
+
+
+def _family(pde, wedge, height, far, rotation, subtract_on_wedge, **fields) -> _Family:
+    """The ``pde`` family on ``wedge``; its line split climbs ``height`` to
+    the wedge rays at radius ``far``."""
+    thl, thr = (ray.angle for ray in wedge)
+    return _Family(
+        disp=Dispersion(pde), rotation=rotation, rotated=rotate_rays(wedge, rotation),
+        line_split=_line_split(thr, thl, height, far, rotation),
+        wedge_split=_wedge_split(thr, thl, rotation) if subtract_on_wedge else None,
+        **fields,
+    )
+
+
+_FAMILIES = {
+    "kdv": _family(
+        "kdv", contours.kdv_contour(), math.sqrt(3.0), 2.0, math.pi / 12.0, True,
+        boundary_coef=lambda lam: 3.0 * lam * lam, wedge_map=_alpha_combo,
+        signs=(1.0, 1.0, -1.0, 1.0, 1.0), stabilize_from=0.0,
+    ),
+    "heat": _family(
+        "heat", contours.heat_contour(), 1.0, math.sqrt(2.0), math.pi / 8.0, False,
+        boundary_coef=lambda lam: 2j * lam, wedge_map=_reflect,
+        signs=(1.0, -1.0, -1.0, 1.0, -1.0), stabilize_from=5.0,
+    ),
+}
+
+# ---------------------------------------------------------------------------
+# integrand builders
+# ---------------------------------------------------------------------------
+
+
+def _integrand(
+    disp: Dispersion, k: int, x: float, t: float, m=None, coef=np.ones_like
+) -> Callable[[Callable], Integrand]:
+    """factor -> the integrand (i lam)^k e^{i lam x} factor(lam) of one term.
+
+    A data term (``m`` given) carries its time factor explicitly, as
+    (-w)^m e^{-w t}; a grouped term (``m`` None) has the time decay
+    inside ``factor`` and a coefficient ``coef(lam)``.  Each product stays
+    one expression: splitting it changes which temporaries numpy reuses,
+    and with that the last bits of the integrand."""
+
+    def density(lam):
+        return x + t * np.abs(disp.dw(lam))
+
+    def build(factor: Callable) -> Integrand:
+        def evaluator(lam):
+            mult = (1j * lam) ** k if k else 1.0
+            if m is None:
+                return mult * coef(lam) * np.exp(1j * lam * x) * factor(lam)
+            w = disp.w(lam)
+            if m:
+                mult = mult * (-w) ** m
+            return mult * np.exp(1j * lam * x - w * t) * factor(lam)
+
+        return Integrand(evaluator, phase_density=density)
+
+    return build
+
+
+def _time_derivative(G, value: Callable, w, m: int):
+    """The m-th t-derivative of a grouped time transform G = int_0^t
+    e^{-w (t - tau)} g(tau) dtau by the exact recursion d/dt G = g(t) - w G;
+    ``value(j)`` is the j-th t-derivative of g at t."""
+    for j in range(m):
+        G = value(j) - w * G
+    return G
+
+
+def _forcing_pair(disp: Dispersion, f, k: int, m: int, t: float, config) -> tuple:
+    """(full, tail): lam -> the m-th t-derivative of the grouped forcing
+    time transform and of its tail expansion's, for m <= 1 (``_validate``):
+    the forcing's own t-derivatives are not formed."""
+    terms, tol = _effective_terms(config, disp, k, m), config.tol
+
+    def full(lam):
+        w = disp.w(lam)
+        G = grouped_forcing_time_transform(f, lam, w, t, tol)
+        return _time_derivative(G, lambda j: forcing_transform(f, lam, t, tol), w, m)
+
+    def tail(lam):
+        w = disp.w(lam)
+        G = grouped_forcing_tail_time_transform(f, terms, lam, w, t, tol)
+        return _time_derivative(
+            G, lambda j: forcing_tail_expansion(f, terms, lam, t), w, m
+        )
+
+    return full, tail
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +356,25 @@ def _split_term(
         pieces = [(g, split.central), (g, split.tilted(delta))]
     else:
         rem = build(lambda lam: full(lam) - tail(lam))
-        rem.decay_envelope = power_law_envelope(rem, split.envelope_ray)
+        # the envelope is probed along the outbound remainder ray
+        rem.decay_envelope = power_law_envelope(rem, split.remainder.segments[1])
         pieces = [(g, split.central), (rem, split.remainder)]
         pieces += [(build(tail), contour) for contour in split.expansion]
     # each piece is integrated to the full term tolerance; the reported
     # error estimate is the (conservative) sum over pieces
     return sum((integrate(g, c, config.tol, config) for g, c in pieces), ZERO_RESULT)
+
+
+def _wedge_term(
+    fam: _Family, build: Callable, full: Callable, tail: Callable, config: SolverConfig
+) -> QuadratureResult:
+    """A data or forcing wedge term: ``full`` carried through the wedge
+    map, whole on the rotated wedge (heat) or with the mapped ``tail``
+    subtracted over the wedge split (cubic)."""
+    if fam.wedge_split is None:
+        return integrate(build(fam.wedge_map(full)), fam.rotated, config.tol, config)
+    full, tail = fam.wedge_map(full, check_domain=True), fam.wedge_map(tail)
+    return _split_term(build, full, tail, fam.wedge_split, None, config)
 
 
 def _tail_expansion_trivial(u0: DataProfile, terms: int) -> bool:
@@ -347,7 +398,7 @@ def _cubic_tilt(u0: DataProfile, t: float, config: SolverConfig, cap: float = 12
         r_star = (b * s1 / (order * t * s2)) ** (1.0 / (order - 1))
         return b * s1 * r_star * (1.0 - 1.0 / order)
 
-    d = _WEDGES["kdv"].rotation
+    d = _FAMILIES["kdv"].rotation
     while d > 1e-4 and max_exponent(d) > cap:
         d /= 1.5
     return d
@@ -366,20 +417,21 @@ def _initial_real_term(
     x: float,
     t: float,
     config: SolverConfig,
-    stabilized: bool,
+    stabilized: bool | None = None,
 ) -> QuadratureResult:
-    disp = Dispersion(p.pde)
+    fam = _FAMILIES[p.pde]
+    if stabilized is None:  # subtracted from the family's threshold on
+        stabilized = x >= fam.stabilize_from
     tol = config.tol
-    build = _data_integrand(disp, k, m, x, t)
+    build = _integrand(fam.disp, k, x, t, m)
     uhat = lambda lam: half_line_fourier(p.u0, lam, tol)
-    terms = _effective_terms(config, disp, k, m)
+    terms = _effective_terms(config, fam.disp, k, m)
     # nothing to subtract when all origin derivatives vanish
     trivial = stabilized and _tail_expansion_trivial(p.u0, terms)
 
-    if not stabilized or (trivial and p.pde == "heat"):
+    if not stabilized or (trivial and fam.wedge_split is None):
         return integrate(build(uhat), contours.real_line(), tol, config)
 
-    split = _line_split(_WEDGES[p.pde])
     if trivial:
         # the cubic oscillatory tails are instead lifted off the real
         # axis, which the transform's continuation permits
@@ -389,138 +441,62 @@ def _initial_real_term(
                 "a transform continuation above the real axis"
             )
         delta = _cubic_tilt(p.u0, t, config)
-        return _split_term(build, uhat, None, split, delta, config)
+        return _split_term(build, uhat, None, fam.line_split, delta, config)
     sigma = lambda lam: tail_expansion(p.u0, terms, lam)
-    return _split_term(build, uhat, sigma, split, None, config)
+    return _split_term(build, uhat, sigma, fam.line_split, None, config)
 
 
 def _initial_wedge_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
-    disp = Dispersion(p.pde)
+    fam = _FAMILIES[p.pde]
     tol = config.tol
-    build = _data_integrand(disp, k, m, x, t)
-    terms = _effective_terms(config, disp, k, m)
+    build = _integrand(fam.disp, k, x, t, m)
+    terms = _effective_terms(config, fam.disp, k, m)
     uhat = lambda lam: half_line_fourier(p.u0, lam, tol)
     sigma = lambda lam: tail_expansion(p.u0, terms, lam)
-    geo = _WEDGES[p.pde]
-    split = _wedge_split(geo)
+    split = fam.wedge_split
 
-    if p.pde == "kdv":
-        full = _alpha_combo(uhat, check_domain=True)
-        tail = _alpha_combo(sigma)
-    else:
-        full = lambda lam: uhat(-np.asarray(lam, dtype=complex))
-        tail = lambda lam: sigma(-np.asarray(lam, dtype=complex))
-
-    if _tail_expansion_trivial(p.u0, terms):
-        # no expansion to subtract; tilt the wedge tails toward the real
-        # axis so the time factor decays.  The heat combination uhat(-lam)
-        # stays in the transform's half-plane under the tilt; the cubic
-        # one needs the upward continuation.
-        if p.pde == "heat":
-            return _split_term(build, full, None, split, geo.rotation, config)
-        if p.u0.transform_upper_ok:
-            full = _alpha_combo(uhat)  # tilted args leave the wedge
-            delta = _cubic_tilt(p.u0, t, config)
-            return _split_term(build, full, None, split, delta, config)
-    return _split_term(build, full, tail, split, None, config)
+    trivial = split is not None and _tail_expansion_trivial(p.u0, terms)
+    if trivial and p.u0.transform_upper_ok:
+        # no expansion to subtract; tilt the cubic wedge tails toward the
+        # real axis so the time factor decays, which takes the rotated
+        # arguments above the real axis and needs the upward continuation
+        delta = _cubic_tilt(p.u0, t, config)
+        return _split_term(build, fam.wedge_map(uhat), None, split, delta, config)
+    return _wedge_term(fam, build, uhat, sigma, config)
 
 
 def _boundary_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
-    disp = Dispersion(p.pde)
+    fam = _FAMILIES[p.pde]
     tol = config.tol
-    if p.pde == "kdv":
-        coef = lambda lam: 3.0 * lam * lam
-    else:
-        coef = lambda lam: 2j * lam
 
     def grouped(lam):
-        w = disp.w(lam)
-        d = grouped_time_transform(p.g0, w, t, tol)
-        for j in range(1, m + 1):
-            d = float(p.g0.derivative(j - 1, t)) - w * d
-        return d
+        w = fam.disp.w(lam)
+        G = grouped_time_transform(p.g0, w, t, tol)
+        return _time_derivative(G, lambda j: float(p.g0.derivative(j, t)), w, m)
 
-    g = _grouped_integrand(disp, k, x, t, coef)(grouped)
-    geo = _WEDGES[p.pde]
-    contour = rotate_rays(geo.contour, geo.rotation)
-    return integrate(g, contour, tol, config)
+    g = _integrand(fam.disp, k, x, t, coef=fam.boundary_coef)(grouped)
+    return integrate(g, fam.rotated, tol, config)
 
 
 def _forcing_real_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
-    disp = Dispersion(p.pde)
-    tol = config.tol
-    terms = _effective_terms(config, disp, k, m)
-    f = p.f
-
-    def ftilde_grouped(lam):
-        w = disp.w(lam)
-        d = grouped_forcing_time_transform(f, lam, w, t, tol)
-        if m:
-            d = forcing_transform(f, lam, t, tol) - w * d
-        return d
-
-    def htilde_grouped(lam):
-        w = disp.w(lam)
-        d = grouped_forcing_tail_time_transform(f, terms, lam, w, t, tol)
-        if m:
-            d = forcing_tail_expansion(f, terms, lam, t) - w * d
-        return d
-
-    build = _grouped_integrand(disp, k, x, t, _one)
-    split = _line_split(_WEDGES[p.pde])
-    return _split_term(build, ftilde_grouped, htilde_grouped, split, None, config)
+    fam = _FAMILIES[p.pde]
+    full, tail = _forcing_pair(fam.disp, p.f, k, m, t, config)
+    build = _integrand(fam.disp, k, x, t)
+    return _split_term(build, full, tail, fam.line_split, None, config)
 
 
 def _forcing_wedge_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
-    disp = Dispersion(p.pde)
-    tol = config.tol
-    f = p.f
-    build = _grouped_integrand(disp, k, x, t, _one)
-
-    if p.pde == "heat":
-        # fhat(-lam, .) is analytic and bounded for lam in the upper
-        # half-plane, so the whole wedge rotates toward the real axis.
-        def grouped(lam):
-            lam = np.asarray(lam, dtype=complex)
-            w = disp.w(lam)
-            d = grouped_forcing_time_transform(f, -lam, w, t, tol)
-            if m:
-                d = forcing_transform(f, -lam, t, tol) - w * d
-            return d
-
-        geo = _WEDGES[p.pde]
-        contour = rotate_rays(geo.contour, geo.rotation)
-        return integrate(build(grouped), contour, tol, config)
-
-    terms = _effective_terms(config, disp, k, m)
-
-    def gf(mu):
-        mu = np.asarray(mu, dtype=complex)
-        return grouped_forcing_time_transform(f, mu, disp.w(mu), t, tol)
-
-    def gf_tail(mu):
-        mu = np.asarray(mu, dtype=complex)
-        return grouped_forcing_tail_time_transform(f, terms, mu, disp.w(mu), t, tol)
-
-    full0 = _alpha_combo(gf, check_domain=True)
-    tail0 = _alpha_combo(gf_tail)
-    if m:
-        fhat_combo = _alpha_combo(lambda mu: forcing_transform(f, mu, t, tol))
-        hm_combo = _alpha_combo(lambda mu: forcing_tail_expansion(f, terms, mu, t))
-        full = lambda lam: fhat_combo(lam) - disp.w(lam) * full0(lam)
-        tail = lambda lam: hm_combo(lam) - disp.w(lam) * tail0(lam)
-    else:
-        full, tail = full0, tail0
-    split = _wedge_split(_WEDGES[p.pde])
-    return _split_term(build, full, tail, split, None, config)
+    fam = _FAMILIES[p.pde]
+    full, tail = _forcing_pair(fam.disp, p.f, k, m, t, config)
+    return _wedge_term(fam, _integrand(fam.disp, k, x, t), full, tail, config)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +512,7 @@ def _validate(p: ProblemSpec, k: int, m: int, x: float, t: float):
         )
     if k < 0 or m < 0:
         raise UnsupportedOrderError("derivative orders must be nonnegative")
-    order = 2 if p.pde == "heat" else 3
+    order = _FAMILIES[p.pde].disp.order
     if k + order * m > _MAX_ORDER:
         raise UnsupportedOrderError(
             f"k + {order}*m = {k + order * m} exceeds max order {_MAX_ORDER}"
@@ -548,41 +524,29 @@ def _validate(p: ProblemSpec, k: int, m: int, x: float, t: float):
         )
 
 
+# the five terms in assembly order, each with the datum that switches it on
+_TERMS = (
+    ("u0", _initial_real_term),
+    ("u0", _initial_wedge_term),
+    ("g0", _boundary_term),
+    ("f", _forcing_real_term),
+    ("f", _forcing_wedge_term),
+)
+
+
 def _raw_terms(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ):
     _validate(p, k, m, x, t)
-
-    if p.u0.is_zero():
-        init_line = init_wedge = ZERO_RESULT
-    else:
-        stabilized = p.pde == "kdv" or x >= _STABILIZE_THRESHOLD_HEAT
-        init_line = _initial_real_term(p, k, m, x, t, config, stabilized)
-        init_wedge = _initial_wedge_term(p, k, m, x, t, config)
-
-    if p.g0.is_zero():
-        boundary = ZERO_RESULT
-    else:
-        boundary = _boundary_term(p, k, m, x, t, config)
-
-    if p.f.is_zero():
-        force_line = force_wedge = ZERO_RESULT
-    else:
-        force_line = _forcing_real_term(p, k, m, x, t, config)
-        force_wedge = _forcing_wedge_term(p, k, m, x, t, config)
-
-    return init_line, init_wedge, boundary, force_line, force_wedge
-
-
-def _signs(pde: str) -> tuple:
-    if pde == "kdv":
-        return (1.0, 1.0, -1.0, 1.0, 1.0)
-    return (1.0, -1.0, -1.0, 1.0, -1.0)
+    return tuple(
+        ZERO_RESULT if getattr(p, datum).is_zero() else term(p, k, m, x, t, config)
+        for datum, term in _TERMS
+    )
 
 
 def _assemble(p, k, m, x, t, config) -> FieldSample:
     results = _raw_terms(p, k, m, x, t, config)
-    signs = _signs(p.pde)
+    signs = _FAMILIES[p.pde].signs
     signed = tuple(s * r.value for s, r in zip(signs, results))
     total = sum(signed)
     err = sum(r.error_estimate for r in results) / (2.0 * math.pi)
@@ -685,23 +649,22 @@ def direct_real_line_term(
     continuation just above the real axis.
     """
     _validate(p, k, m, x, t)
-    disp = Dispersion(p.pde)
     if p.u0.is_zero():
         return 0j
+    fam = _FAMILIES[p.pde]
     tol = config.tol
-    build = _data_integrand(disp, k, m, x, t)
+    build = _integrand(fam.disp, k, x, t, m)
     uhat = lambda lam: half_line_fourier(p.u0, lam, tol)
 
-    if p.pde == "heat":
+    if fam.wedge_split is None:
         return integrate(build(uhat), contours.real_line(), tol, config).value
 
     if p.u0.transform is None:
         raise OutOfDomainError(
             "direct cubic-family evaluation needs a continuable transform"
         )
-    geo = _WEDGES[p.pde]
     cfg = config.with_tol(tol / 2)
-    return _split_term(build, uhat, None, _line_split(geo), geo.rotation, cfg).value
+    return _split_term(build, uhat, None, fam.line_split, fam.rotation, cfg).value
 
 
 def solve_grid(

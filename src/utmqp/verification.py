@@ -539,12 +539,12 @@ def energy_trace(
 
     def boundary_slope(t: float) -> float:
         grid = dx * np.arange(1, 5)
-        w = fd_weights(1, grid, x0=0.0)  # one-sided, excludes x = 0 itself
-        # field(0, t) = 0 for the homogeneous problem; include it exactly
+        # field(0, t) = 0 for the homogeneous problem, so the x = 0 node
+        # of the one-sided stencil contributes nothing
         grid0 = np.concatenate([[0.0], grid])
         w0 = fd_weights(1, grid0, x0=0.0)
         vals = np.array([field(x, t) for x in grid])
-        return float(w0[0] * 0.0 + np.dot(w0[1:], vals))
+        return float(np.dot(w0[1:], vals))
 
     def slope_at(x: float, t: float) -> float:
         if slope_field is not None:

@@ -85,21 +85,6 @@ class TestHeatSolver:
             s = heat_solve(p, x, t)
             assert s.value == pytest.approx(erfc(x / (2.0 * math.sqrt(t))), abs=1e-6)
 
-    def test_exact_time_derivative_matches_centered_difference(self):
-        p = ProblemSpec(
-            "heat",
-            builtin_profile("zero"),
-            builtin_profile("constant", c=1.0),
-            zero_forcing(),
-        )
-        h = 1e-3
-        exact = solve_derivative(p, 0, 1, 1.0, 1.0, TIGHT).value
-        fd = (
-            heat_solve(p, 1.0, 1.0 + h, TIGHT).value
-            - heat_solve(p, 1.0, 1.0 - h, TIGHT).value
-        ) / (2.0 * h)
-        assert exact == pytest.approx(fd, abs=1e-5)
-
     def test_forced_problem_matches_steady_state_split(self):
         # u_t = u_xx + e^{-x}, zero data.  With phi = 1 - e^{-x} the
         # shifted field solves the plain heat problem with datum e^{-x}-1,
@@ -225,6 +210,26 @@ class TestDerivatives:
         ut = solve_derivative(p, 0, 1, 1.0, 0.5).value
         ux = solve_derivative(p, order, 0, 1.0, 0.5).value
         assert abs(ut + sign * ux) <= 1e-6
+
+    @pytest.mark.parametrize("pde", ["heat", "kdv"])
+    def test_exact_time_derivative_matches_centered_difference(self, pde):
+        # u0, g0 and f all nonzero, so the one time-derivative rule is
+        # checked on each of the five terms: the data terms' (-w) factor and
+        # d/dt G = g(t) - w G on the boundary and both forcing terms.  The
+        # kdv u_t remainder needs more than the default panels at 1e-12.
+        f = separable_forcing(
+            builtin_profile("exp_decay", a=1.0), builtin_profile("sin_of_t", omega0=1.0)
+        )
+        q = exp_decay_problem(pde)
+        p = ProblemSpec(pde, q.u0, q.g0, f)
+        cfg = dataclasses.replace(TIGHT, max_panels=100000)
+        x, t, h = 1.0, 1.0, 1e-4
+        exact = solve_derivative(p, 0, 1, x, t, cfg).term_breakdown
+        ahead = solve(p, x, t + h, cfg).term_breakdown
+        behind = solve(p, x, t - h, cfg).term_breakdown
+        assert all(term != 0 for term in exact)
+        for d, a, b in zip(exact, ahead, behind):
+            assert abs(d - (a - b) / (2.0 * h)) <= 1e-7
 
     def test_space_derivative_matches_centered_difference(self):
         p = exp_decay_problem("kdv")
@@ -402,30 +407,34 @@ class TestDataOnlyProblem:
 
 
 class TestOtherDataProfiles:
-    def test_gaussian_heat_problem_matches_oracle(self):
+    @pytest.mark.parametrize(
+        "u0,g0,points",
+        [
+            # compatible data: u0(0) = g0(0) in each case
+            (
+                builtin_profile("gaussian", a=1.0),
+                builtin_profile("exp_of_t", a=-1.0),
+                [(0.4, 0.3), (1.2, 1.0), (2.5, 1.7)],
+            ),
+            (
+                builtin_profile("x_times_gaussian", a=0.8),
+                builtin_profile("zero"),
+                [(0.6, 0.4), (1.5, 1.2)],
+            ),
+            (
+                builtin_profile("bump", a=1.0, b=3.0),
+                builtin_profile("zero"),
+                [(0.4, 0.3), (1.2, 1.0), (2.5, 1.7)],
+            ),
+        ],
+        ids=["gaussian", "x_times_gaussian", "bump"],
+    )
+    def test_heat_problem_matches_oracle(self, u0, g0, points):
         from utmqp.verification import heat_oracle
 
-        p = ProblemSpec(
-            "heat",
-            builtin_profile("gaussian", a=1.0),
-            builtin_profile("exp_of_t", a=-1.0),  # compatible: u0(0)=1=g0(0)
-            zero_forcing(),
-        )
-        for x, t in [(0.4, 0.3), (1.2, 1.0), (2.5, 1.7)]:
-            assert solve(p, x, t).value == pytest.approx(
-                heat_oracle(p, x, t), abs=1e-8
-            )
-
-    def test_x_times_gaussian_heat_problem_matches_oracle(self):
-        from utmqp.verification import heat_oracle
-
-        p = ProblemSpec(
-            "heat",
-            builtin_profile("x_times_gaussian", a=0.8),
-            builtin_profile("zero"),  # compatible: u0(0) = 0
-            zero_forcing(),
-        )
-        for x, t in [(0.6, 0.4), (1.5, 1.2)]:
+        p = ProblemSpec("heat", u0, g0, zero_forcing())
+        # plus small t, and x past the heat real-line subtraction threshold
+        for x, t in points + [(0.5, 1e-3), (2.0, 1e-3), (5.5, 1.0), (6.0, 2.0)]:
             assert solve(p, x, t).value == pytest.approx(
                 heat_oracle(p, x, t), abs=1e-8
             )
