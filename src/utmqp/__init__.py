@@ -10,7 +10,6 @@ from .contours import (
     Contour,
     LineSegment,
     Ray,
-    deformed_heat_contour,
     heat_contour,
     indented_line,
     kdv_contour,
@@ -32,27 +31,17 @@ from .profiles import (
 )
 from .quadrature import Integrand, QuadratureResult, integrate, ray_truncation
 from .solvers import (
-    CUBE_ROOTS,
-    CubeRoots,
     FieldSample,
-    direct_real_line_term,
-    heat_solve,
-    heat_terms,
-    kdv_solve,
-    kdv_terms,
     solve,
     solve_derivative,
     solve_grid,
-    stabilized_real_line_term,
 )
 from .transforms import (
     Dispersion,
     forcing_tail_expansion,
-    forcing_transforms,
     grouped_time_transform,
     half_line_fourier,
     tail_expansion,
-    time_transform,
 )
 from .counterexamples import (
     CounterexampleField,

@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .contours import deformed_heat_contour, heat_contour, indented_line, kdv_contour
+from .contours import heat_contour, indented_line, kdv_contour
 from .counterexamples import (
     heat_counterexample_field,
     hypothesis_violation_report,
@@ -130,16 +130,12 @@ def main():
 
 @main.command("dump-contour")
 @click.option("--name", required=True,
-              type=click.Choice(["kdv", "heat", "heat-deformed", "line"]))
+              type=click.Choice(["kdv", "heat", "line"]))
 @click.option("--eps", type=float, default=1.0, show_default=True,
               help="height of the indented line (name=line)")
 def dump_contour(name, eps):
     """Print a contour's segment list as JSON."""
-    factories = {
-        "kdv": kdv_contour,
-        "heat": heat_contour,
-        "heat-deformed": deformed_heat_contour,
-    }
+    factories = {"kdv": kdv_contour, "heat": heat_contour}
     contour = indented_line(eps) if name == "line" else factories[name]()
     click.echo(contour.to_json(indent=2))
 

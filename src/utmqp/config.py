@@ -10,7 +10,7 @@ method and live with the solvers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,6 @@ class SolverConfig:
     tail_terms: int = 6
     # number of worker threads for grid sweeps (None: os.cpu_count())
     threads: int | None = None
-
-    def with_tol(self, tol: float) -> "SolverConfig":
-        return replace(self, tol=tol)
 
 
 DEFAULT_CONFIG = SolverConfig()

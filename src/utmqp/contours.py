@@ -11,9 +11,6 @@ The factories below build the handful of contours the solvers need:
 
 * ``kdv_contour``       -- wedge boundary, rays at arguments pi/3 and 2pi/3
 * ``heat_contour``      -- wedge boundary, rays at arguments pi/4 and 3pi/4
-* ``deformed_heat_contour`` -- the heat wedge with its portion inside the
-  unit disk replaced by the unit-circle arc joining the two rays, so the
-  contour avoids lambda = 0 (needed for integrands with a 1/lambda pole)
 * ``indented_line``     -- the horizontal line Im lambda = eps
 * ``real_line``         -- the real axis, left to right
 
@@ -35,8 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidDeformationError, InvalidParameterError
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -75,12 +70,6 @@ class Ray:
         s = np.asarray(s)
         return np.full(s.shape, self.direction, dtype=complex)
 
-    def distance(self, lam: complex) -> float:
-        d = lam - self.start
-        u = (d * np.conj(self.direction)).real
-        s = max(u, 0.0)
-        return abs(d - s * self.direction)
-
 
 @dataclass(frozen=True)
 class LineSegment:
@@ -99,14 +88,6 @@ class LineSegment:
     def velocity(self, s):
         s = np.asarray(s)
         return np.full(s.shape, self.end - self.start, dtype=complex)
-
-    def distance(self, lam: complex) -> float:
-        d = self.end - self.start
-        if d == 0:
-            return abs(lam - self.start)
-        u = ((lam - self.start) * np.conj(d)).real / abs(d) ** 2
-        u = min(max(u, 0.0), 1.0)
-        return abs(lam - self.start - u * d)
 
 
 @dataclass(frozen=True)
@@ -139,21 +120,6 @@ class CircularArc:
         dtheta = self.angle_end - self.angle_start
         return 1j * dtheta * self.radius * np.exp(1j * self._theta(s))
 
-    def distance(self, lam: complex) -> float:
-        rel = lam - self.center
-        r = abs(rel)
-        if r == 0:
-            return self.radius
-        phi = cmath.phase(rel)
-        lo, hi = sorted((self.angle_start, self.angle_end))
-        # reduce phi into [lo, lo + 2*pi)
-        k = math.floor((phi - lo) / _TWO_PI)
-        phi -= k * _TWO_PI
-        if lo <= phi <= hi:
-            return abs(r - self.radius)
-        ends = (self.point(0.0), self.point(1.0))
-        return min(abs(lam - e) for e in ends)
-
 
 @dataclass(frozen=True)
 class Contour:
@@ -166,21 +132,6 @@ class Contour:
 
     def __len__(self):
         return len(self.segments)
-
-    def distance(self, lam: complex) -> float:
-        if not self.segments:
-            return math.inf
-        return min(seg.distance(lam) for seg in self.segments)
-
-    def contains(self, lam: complex, tol: float = 1e-9) -> bool:
-        return self.distance(lam) <= tol
-
-    def reversed(self) -> "Contour":
-        flipped = tuple(
-            replace(seg, orientation=-seg.orientation)
-            for seg in reversed(self.segments)
-        )
-        return Contour(flipped)
 
     def to_dict(self) -> dict:
         out = []
@@ -243,26 +194,6 @@ def heat_contour() -> Contour:
         (
             Ray(0j, 3.0 * math.pi / 4.0, orientation=-1),
             Ray(0j, math.pi / 4.0, orientation=+1),
-        )
-    )
-
-
-def deformed_heat_contour() -> Contour:
-    """The heat wedge with its portion inside the unit disk replaced by the
-    unit-circle arc joining exp(3i*pi/4) to exp(i*pi/4).
-
-    The arc keeps min |lambda| = 1 along the whole contour, so integrands
-    with a simple pole at the origin become integrable; for such
-    integrands the choice of connecting arc changes the value by residue
-    contributions, and this is the (unique) choice under which the
-    one-term step-datum field reproduces its closed form.
-    """
-    a = math.pi / 4.0
-    return Contour(
-        (
-            Ray(cmath.exp(3j * a), 3.0 * a, orientation=-1),
-            CircularArc(0j, 1.0, 3.0 * a, a),
-            Ray(cmath.exp(1j * a), a, orientation=+1),
         )
     )
 

@@ -14,8 +14,8 @@ class InvalidDeformationError(UtmqpError, ValueError):
 
 
 class InvalidContourError(UtmqpError, ValueError):
-    """A contour is unusable for the requested integral (e.g. passes
-    through a declared singular point of the integrand)."""
+    """A contour is unusable for the requested integral: the integrand is
+    not finite at a point of it."""
 
 
 class OutOfDomainError(UtmqpError, ValueError):

@@ -115,15 +115,12 @@ class Integrand:
     evaluator        vectorized map ndarray[complex] -> ndarray[complex]
     decay_envelope   optional upper bound for |evaluator(lambda(s))| as a
                      function of the ray parameter s (used for truncation)
-    singular_points  points where the integrand blows up; integration is
-                     refused on contours passing through any of them
     phase_density    optional |d(phase)/d(lambda)| estimate, vectorized,
                      used to pre-split panels on oscillatory stretches
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     decay_envelope: Optional[Callable[[float], float]] = None
-    singular_points: tuple = ()
     phase_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, lam: np.ndarray) -> np.ndarray:
@@ -388,19 +385,13 @@ def integrate(
     """Integrate ``g`` along ``contour`` to absolute tolerance ``tol``.
 
     Raises AccuracyError (carrying the best estimate) if the subdivision
-    budget is exhausted, InvalidContourError if a declared singular point
-    lies on the contour, TruncationError if an infinite ray cannot be
+    budget is exhausted, InvalidContourError if the integrand is not finite
+    at a quadrature node, TruncationError if an infinite ray cannot be
     truncated.
     """
     tol = config.tol if tol is None else tol
     if not contour.segments:
         return ZERO_RESULT
-
-    for p in g.singular_points:
-        if contour.distance(p) < 1e-12 * (1.0 + abs(p)):
-            raise InvalidContourError(
-                f"declared singular point {p} lies on the contour"
-            )
 
     seg_tol = tol / len(contour.segments)
     total = ZERO_RESULT

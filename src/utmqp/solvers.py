@@ -101,17 +101,6 @@ from .transforms import (
 
 
 @dataclass(frozen=True)
-class CubeRoots:
-    """The primitive cube root of unity and its square."""
-
-    alpha: complex = cmath.exp(2j * math.pi / 3.0)
-    alpha_sq: complex = cmath.exp(4j * math.pi / 3.0)
-
-
-CUBE_ROOTS = CubeRoots()
-
-
-@dataclass(frozen=True)
 class FieldSample:
     """One evaluated field value with its quadrature error budget.
 
@@ -133,6 +122,10 @@ class FieldSample:
 
 # cap on k + order*m for derivative evaluation
 _MAX_ORDER = 8
+
+# the primitive cube root of unity and its square (the cubic wedge map)
+_ALPHA = cmath.exp(2j * math.pi / 3.0)
+_ALPHA_SQ = cmath.exp(4j * math.pi / 3.0)
 
 # ---------------------------------------------------------------------------
 # contour splits
@@ -209,14 +202,14 @@ def _alpha_combo(func: Callable, check_domain: bool = False) -> Callable:
 
     def combo(lam):
         lam = np.asarray(lam, dtype=complex)
-        za, zb = CUBE_ROOTS.alpha * lam, CUBE_ROOTS.alpha_sq * lam
+        za, zb = _ALPHA * lam, _ALPHA_SQ * lam
         if check_domain:
             slack = 1e-9 * (1.0 + np.abs(lam))
             if np.any(za.imag > slack) or np.any(zb.imag > slack):
                 raise OutOfDomainError(
                     "rotated transform argument left the lower half-plane"
                 )
-        return CUBE_ROOTS.alpha * func(za) + CUBE_ROOTS.alpha_sq * func(zb)
+        return _ALPHA * func(za) + _ALPHA_SQ * func(zb)
 
     return combo
 
@@ -411,17 +404,10 @@ def _effective_terms(config: SolverConfig, disp: Dispersion, k: int, m: int) -> 
 
 
 def _initial_real_term(
-    p: ProblemSpec,
-    k: int,
-    m: int,
-    x: float,
-    t: float,
-    config: SolverConfig,
-    stabilized: bool | None = None,
+    p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
     fam = _FAMILIES[p.pde]
-    if stabilized is None:  # subtracted from the family's threshold on
-        stabilized = x >= fam.stabilize_from
+    stabilized = x >= fam.stabilize_from  # subtracted from this threshold on
     tol = config.tol
     build = _integrand(fam.disp, k, x, t, m)
     uhat = lambda lam: half_line_fourier(p.u0, lam, tol)
@@ -566,18 +552,6 @@ def solve(
     return _assemble(p, 0, 0, x, t, config)
 
 
-def kdv_solve(p, x, t, config=DEFAULT_CONFIG) -> FieldSample:
-    if p.pde != "kdv":
-        raise InvalidParameterError("kdv_solve needs a kdv problem")
-    return solve(p, x, t, config)
-
-
-def heat_solve(p, x, t, config=DEFAULT_CONFIG) -> FieldSample:
-    if p.pde != "heat":
-        raise InvalidParameterError("heat_solve needs a heat problem")
-    return solve(p, x, t, config)
-
-
 def solve_derivative(
     p: ProblemSpec,
     k: int,
@@ -588,83 +562,6 @@ def solve_derivative(
 ) -> FieldSample:
     """d^{k+m} U / dx^k dt^m by differentiation under the integrals."""
     return _assemble(p, k, m, x, t, config)
-
-
-def kdv_terms(p, x, t, config=DEFAULT_CONFIG) -> tuple:
-    """The five unsigned cubic-family terms (line, wedge, boundary,
-    forcing line, forcing wedge); the solution is
-    (T1 + T2 - T3 + T4 + T5) / (2 pi)."""
-    if p.pde != "kdv":
-        raise InvalidParameterError("kdv_terms needs a kdv problem")
-    return tuple(r.value for r in _raw_terms(p, 0, 0, x, t, config))
-
-
-def heat_terms(p, x, t, config=DEFAULT_CONFIG) -> tuple:
-    """The five unsigned heat-family terms; the solution is
-    (T1 - T2 - T3 + T4 - T5) / (2 pi)."""
-    if p.pde != "heat":
-        raise InvalidParameterError("heat_terms needs a heat problem")
-    return tuple(r.value for r in _raw_terms(p, 0, 0, x, t, config))
-
-
-def stabilized_real_line_term(
-    p: ProblemSpec,
-    k: int,
-    m: int,
-    x: float,
-    t: float,
-    which: str = "initial",
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> complex:
-    """The real-line term evaluated through the subtracted four-piece
-    decomposition (central + subtracted tails + verticals + tilted far
-    wedge).  ``which`` selects the initial-datum or forcing term."""
-    _validate(p, k, m, x, t)
-    if which == "initial":
-        if p.u0.is_zero():
-            return 0j
-        return _initial_real_term(p, k, m, x, t, config, True).value
-    if which == "forcing":
-        if p.f.is_zero():
-            return 0j
-        return _forcing_real_term(p, k, m, x, t, config).value
-    raise InvalidParameterError("which must be 'initial' or 'forcing'")
-
-
-def direct_real_line_term(
-    p: ProblemSpec,
-    k: int,
-    m: int,
-    x: float,
-    t: float,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> complex:
-    """Independent evaluation of the initial-datum real-line term without
-    the tail subtraction.
-
-    heat: brute adaptive quadrature on the real line (the Gaussian time
-    factor supplies decay).  cubic: the time factor is purely oscillatory
-    on the real line, so the tails are Cauchy-deformed onto slightly
-    tilted rays instead; this requires a transform with a closed-form
-    continuation just above the real axis.
-    """
-    _validate(p, k, m, x, t)
-    if p.u0.is_zero():
-        return 0j
-    fam = _FAMILIES[p.pde]
-    tol = config.tol
-    build = _integrand(fam.disp, k, x, t, m)
-    uhat = lambda lam: half_line_fourier(p.u0, lam, tol)
-
-    if fam.wedge_split is None:
-        return integrate(build(uhat), contours.real_line(), tol, config).value
-
-    if p.u0.transform is None:
-        raise OutOfDomainError(
-            "direct cubic-family evaluation needs a continuable transform"
-        )
-    cfg = config.with_tol(tol / 2)
-    return _split_term(build, uhat, None, fam.line_split, fam.rotation, cfg).value
 
 
 def solve_grid(

@@ -167,17 +167,6 @@ def grouped_time_transform(g0: DataProfile, w, t: float, tol: float | None = Non
     return out if np.ndim(w) else complex(out[0])
 
 
-def time_transform(g0: DataProfile, w, t: float, tol: float | None = None):
-    """gtilde(w, t) = integral_0^t e^{+w tau} g0(tau) d tau.
-
-    Computed as e^{+w t} times the grouped form; overflow-prone for large
-    positive Re(w) t, which internal consumers avoid by using the grouped
-    form directly.
-    """
-    grouped = grouped_time_transform(g0, w, t, tol)
-    return np.exp(np.asarray(w, dtype=complex) * t) * grouped
-
-
 def forcing_transform(f: ForcingProfile, lam, t: float, tol: float | None = None):
     """fhat(lam, t) = uhat_xp(lam) tp(t), vectorized over lam."""
     xp, tp = f.factors
@@ -201,16 +190,6 @@ def grouped_forcing_time_transform(
     """
     xp, tp = f.factors
     return _times_grouped_tp(half_line_fourier(xp, lam, tol), tp, w, t, tol)
-
-
-def forcing_transforms(
-    f: ForcingProfile, lam, w, t: float, tol: float | None = None
-):
-    """(fhat(lam, t), ftilde(lam, w, t)) as a pair."""
-    fhat = forcing_transform(f, lam, t, tol)
-    grouped = grouped_forcing_time_transform(f, lam, w, t, tol)
-    ftilde = np.exp(np.asarray(w, dtype=complex) * t) * grouped
-    return fhat, ftilde
 
 
 def forcing_tail_expansion(f: ForcingProfile, terms: int, lam, t: float):

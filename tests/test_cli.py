@@ -1,9 +1,12 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
+from utmqp import cli
 from utmqp.cli import main
+from utmqp.solvers import _tilted_far_contour
 
 HEAT_PROBLEM = {
     "pde": "heat",
@@ -181,11 +184,18 @@ class TestSweepCommand:
 
 
 class TestDumpCommands:
-    def test_dump_contour(self, runner):
-        result = runner.invoke(main, ["dump-contour", "--name", "heat-deformed"])
+    def test_dump_contour(self, runner, monkeypatch):
+        result = runner.invoke(main, ["dump-contour", "--name", "heat"])
         assert result.exit_code == 0
         payload = json.loads(result.output)
-        assert [s["kind"] for s in payload["segments"]] == ["ray", "arc", "ray"]
+        assert [s["kind"] for s in payload["segments"]] == ["ray", "ray"]
+        # arcs serialise too: the far contour of the kdv line split
+        far = lambda: _tilted_far_contour(math.pi / 3, 2 * math.pi / 3, 2.0, 0.1)
+        monkeypatch.setattr(cli, "heat_contour", far)
+        result = runner.invoke(main, ["dump-contour", "--name", "heat"])
+        assert result.exit_code == 0
+        kinds = [s["kind"] for s in json.loads(result.output)["segments"]]
+        assert kinds == ["ray", "arc", "arc", "ray"]
 
     def test_dump_transform(self, runner, tmp_path):
         problem = write_problem(tmp_path, HEAT_PROBLEM)

@@ -1,10 +1,9 @@
-import cmath
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import airy, erfc
 
 from utmqp.config import SolverConfig
 from utmqp.errors import (
@@ -20,16 +19,12 @@ from utmqp.profiles import (
     zero_forcing,
 )
 from utmqp.solvers import (
-    CUBE_ROOTS,
-    direct_real_line_term,
-    heat_solve,
-    heat_terms,
-    kdv_solve,
-    kdv_terms,
+    _ALPHA,
+    _ALPHA_SQ,
+    _alpha_combo,
     solve,
     solve_derivative,
     solve_grid,
-    stabilized_real_line_term,
 )
 
 TIGHT = SolverConfig(tol=1e-12)
@@ -50,25 +45,56 @@ def exp_decay_problem(pde):
     )
 
 
+def free_space_heat_terms(u0, x, t, Y=60.0, n=400):
+    """(int_0^Y K(x - y) u0(y) dy, int_0^Y K(x + y) u0(y) dy), K the heat
+    kernel: the initial line term and the image that the heat wedge term
+    subtracts, each over 2 pi."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    ys = 0.5 * Y * (nodes + 1.0)
+    K = lambda z: np.exp(-z * z / (4 * t)) / math.sqrt(4 * math.pi * t)
+    w = 0.5 * Y * weights * u0(ys)
+    return float(np.dot(w, K(x - ys))), float(np.dot(w, K(x + ys)))
+
+
+def airy_line_term(u0, x, t, Y=60.0, panels=600, n=32):
+    """The kdv initial real-line term as the Airy-kernel convolution of the
+    zero-extended datum, 2 pi int_0^Y (3t)^{-1/3} Ai((x - y)/(3t)^{1/3})
+    u0(y) dy, by composite Gauss-Legendre in y: no contours involved
+    (Holmer, Comm. PDE 31, 2006)."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    edges = np.linspace(0.0, Y, panels + 1)
+    a, b = edges[:-1, None], edges[1:, None]
+    ys = (0.5 * (b - a) * (nodes + 1.0) + a).ravel()
+    ws = (0.5 * (b - a) * weights).ravel()
+    s = (3.0 * t) ** (1.0 / 3.0)
+    return 2.0 * math.pi * float(np.dot(ws, airy((x - ys) / s)[0] * u0(ys))) / s
+
+
 class TestCubeRoots:
     def test_algebra(self):
-        a = CUBE_ROOTS.alpha
+        a = _ALPHA
         assert abs(a**3 - 1.0) <= 1e-15
         assert abs(1.0 + a + a * a) <= 1e-15
-        assert abs(CUBE_ROOTS.alpha_sq - a * a) <= 1e-15
+        assert abs(_ALPHA_SQ - a * a) <= 1e-15
 
     def test_rotated_argument_stays_in_lower_half_plane(self):
-        lam = cmath.exp(1j * math.pi / 3)  # on the right wedge ray
-        assert (CUBE_ROOTS.alpha * lam).imag <= 1e-15
+        # the cubic wedge map's domain guard: a lam with a rotated argument
+        # in the upper half-plane (alpha * 1) is refused; lam = i and both
+        # wedge rays map into the closed lower half-plane
+        combo = _alpha_combo(np.exp, check_domain=True)
+        with pytest.raises(OutOfDomainError):
+            combo(np.array([1.0 + 0j]))
+        rays = 3.0 * np.exp(1j * np.array([math.pi / 3, 2 * math.pi / 3]))
+        for lam in (np.array([1j]), rays):
+            assert np.all(np.isfinite(combo(lam)))
 
 
 class TestZeroData:
     @pytest.mark.parametrize("pde", ["heat", "kdv"])
     def test_all_terms_vanish(self, pde):
         p = zero_problem(pde)
-        terms = kdv_terms(p, 1.0, 0.5) if pde == "kdv" else heat_terms(p, 1.0, 0.5)
-        assert terms == (0j, 0j, 0j, 0j, 0j)
         s = solve(p, 1.0, 0.5)
+        assert s.term_breakdown == (0j, 0j, 0j, 0j, 0j)
         assert s.value == 0.0
         assert s.error_estimate == 0.0
 
@@ -82,7 +108,7 @@ class TestHeatSolver:
             zero_forcing(),
         )
         for x, t in [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5)]:
-            s = heat_solve(p, x, t)
+            s = solve(p, x, t)
             assert s.value == pytest.approx(erfc(x / (2.0 * math.sqrt(t))), abs=1e-6)
 
     def test_forced_problem_matches_steady_state_split(self):
@@ -97,14 +123,11 @@ class TestHeatSolver:
         p = ProblemSpec("heat", builtin_profile("zero"), builtin_profile("zero"), f)
 
         def exact(x, t):
-            nodes, weights = np.polynomial.legendre.leggauss(400)
-            ys = 0.5 * 60.0 * (nodes + 1.0)
-            K = lambda z: np.exp(-z * z / (4 * t)) / math.sqrt(4 * math.pi * t)
-            img = 30.0 * float(np.dot(weights, (K(x - ys) - K(x + ys)) * np.exp(-ys)))
-            return img - erf(x / (2.0 * math.sqrt(t))) + 1.0 - math.exp(-x)
+            free, image = free_space_heat_terms(lambda y: np.exp(-y), x, t)
+            return free - image - erf(x / (2.0 * math.sqrt(t))) + 1.0 - math.exp(-x)
 
         for x, t in [(1.0, 0.5), (0.5, 1.0)]:
-            assert heat_solve(p, x, t).value == pytest.approx(exact(x, t), abs=1e-8)
+            assert solve(p, x, t).value == pytest.approx(exact(x, t), abs=1e-8)
 
     def test_forced_time_derivative_error_estimate_is_honest(self):
         # the forcing real-line remainder decays like a Gaussian here and
@@ -155,7 +178,7 @@ class TestKdvSolver:
             zero_forcing(),
         )
         for t in (0.5, 1.0):
-            s = kdv_solve(p, 1e-3, t)
+            s = solve(p, 1e-3, t)
             assert abs(s.value - math.exp(-t)) <= 1e-2
 
     def test_initial_recovery(self):
@@ -166,7 +189,7 @@ class TestKdvSolver:
             zero_forcing(),
         )
         for x in (0.5, 1.0, 2.0):
-            s = kdv_solve(p, x, 1e-4)
+            s = solve(p, x, 1e-4)
             assert abs(s.value - math.exp(-x * x)) <= 1e-3
 
     def test_step_datum_matches_independent_line_integral(self):
@@ -190,7 +213,7 @@ class TestKdvSolver:
             return (-3.0 / (2.0 * math.pi * 1j) * (re + 1j * im)).real
 
         for x, t in [(0.5, 0.5), (1.0, 1.0)]:
-            assert kdv_solve(p, x, t).value == pytest.approx(
+            assert solve(p, x, t).value == pytest.approx(
                 reference(x, t), abs=1e-8
             )
 
@@ -236,8 +259,8 @@ class TestDerivatives:
         h = 1e-3
         exact = solve_derivative(p, 1, 0, 1.0, 0.5, TIGHT).value
         fd = (
-            kdv_solve(p, 1.0 + h, 0.5, TIGHT).value
-            - kdv_solve(p, 1.0 - h, 0.5, TIGHT).value
+            solve(p, 1.0 + h, 0.5, TIGHT).value
+            - solve(p, 1.0 - h, 0.5, TIGHT).value
         ) / (2.0 * h)
         assert exact == pytest.approx(fd, abs=1e-6)
 
@@ -271,25 +294,38 @@ class TestDerivatives:
 
 class TestStabilizedTerm:
     def test_agreement_with_direct_route(self):
-        p = exp_decay_problem("kdv")
-        a = stabilized_real_line_term(p, 0, 0, 2.0, 1.0, "initial")
-        b = direct_real_line_term(p, 0, 0, 2.0, 1.0)
-        assert abs(a - b) <= 1e-8
+        # the subtracted kdv real-line term against the Airy-kernel
+        # convolution, within the reported budget
+        zero = builtin_profile("zero")
+        for u0 in (
+            builtin_profile("exp_decay", a=1.0),
+            builtin_profile("gaussian", a=1.0),
+            builtin_profile("bump", a=1.0, b=3.0),
+        ):
+            p = ProblemSpec("kdv", u0, zero, zero_forcing())
+            for x, t in [(2.0, 1.0), (0.1, 1e-2), (1.0, 1e-3), (5.0, 1.0)]:
+                s = solve(p, x, t)
+                ref = airy_line_term(u0, x, t)
+                bound = 2.0 * math.pi * s.error_estimate + 1e-12
+                assert abs(s.term_breakdown[0] - ref) <= bound
 
     def test_heat_agreement_with_direct_route(self):
+        # the heat line term is subtracted from x = 5 on; below it is
+        # integrated directly: both against the free-space kernel
         p = exp_decay_problem("heat")
-        a = stabilized_real_line_term(p, 0, 0, 6.0, 1.0, "initial")
-        b = direct_real_line_term(p, 0, 0, 6.0, 1.0)
-        assert abs(a - b) <= 1e-8
+        for x, t in [(6.0, 1.0), (1.0, 1.0)]:
+            free, _ = free_space_heat_terms(p.u0, x, t)
+            line = solve(p, x, t).term_breakdown[0] / (2.0 * math.pi)
+            assert abs(line - free) <= 1e-8
 
     def test_zero_datum(self):
         p = zero_problem("kdv")
-        assert stabilized_real_line_term(p, 0, 0, 2.0, 1.0, "initial") == 0
+        assert solve(p, 2.0, 1.0).term_breakdown[0] == 0
 
     def test_large_x_decay(self):
         p = exp_decay_problem("kdv")
-        near = stabilized_real_line_term(p, 0, 0, 2.0, 1.0, "initial")
-        far = stabilized_real_line_term(p, 0, 0, 20.0, 1.0, "initial")
+        near = solve(p, 2.0, 1.0).term_breakdown[0]
+        far = solve(p, 20.0, 1.0).term_breakdown[0]
         assert abs(far) <= 1e-6 * abs(near)
 
     def test_forcing_variant(self):
@@ -297,10 +333,8 @@ class TestStabilizedTerm:
             builtin_profile("exp_decay", a=1.0), builtin_profile("constant", c=1.0)
         )
         p = ProblemSpec("kdv", builtin_profile("zero"), builtin_profile("zero"), f)
-        val = stabilized_real_line_term(p, 0, 0, 2.0, 0.5, "forcing")
-        assert np.isfinite(val.real)
-        with pytest.raises(InvalidParameterError):
-            stabilized_real_line_term(p, 0, 0, 2.0, 0.5, "neither")
+        val = solve(p, 2.0, 0.5).term_breakdown[3]
+        assert np.isfinite(val.real) and val != 0
 
 
 class TestFieldSampleInvariants:
@@ -313,29 +347,34 @@ class TestFieldSampleInvariants:
 
     def test_term_bookkeeping(self):
         p = exp_decay_problem("heat")
-        s = heat_solve(p, 1.0, 1.0)
+        s = solve(p, 1.0, 1.0)
         total = sum(s.term_breakdown)
         assert s.value == total.real / (2.0 * math.pi)
 
-    def test_unsigned_term_assembly(self):
+    def test_heat_signed_terms_are_kernel_and_image(self):
+        # the signed line term is the free-space heat-kernel convolution
+        # and the signed wedge term minus its image
         p = exp_decay_problem("heat")
         x, t = 1.0, 0.7
-        terms = heat_terms(p, x, t)
-        s = heat_solve(p, x, t)
-        assembled = (terms[0] - terms[1] - terms[2] + terms[3] - terms[4]) / (
-            2.0 * math.pi
-        )
-        assert s.value == pytest.approx(assembled.real, abs=1e-12)
+        s = solve(p, x, t)
+        line, wedge = (v / (2.0 * math.pi) for v in s.term_breakdown[:2])
+        free, image = free_space_heat_terms(p.u0, x, t)
+        assert abs(line - free) <= 1e-8 and abs(wedge + image) <= 1e-8
+        assembled = sum(s.term_breakdown).real / (2.0 * math.pi)
+        assert s.value == pytest.approx(assembled, abs=1e-12)
 
-    def test_kdv_unsigned_term_assembly(self):
-        p = exp_decay_problem("kdv")
-        x, t = 1.0, 0.5
-        terms = kdv_terms(p, x, t)
-        s = kdv_solve(p, x, t)
-        assembled = (terms[0] + terms[1] - terms[2] + terms[3] + terms[4]) / (
-            2.0 * math.pi
-        )
-        assert s.value == pytest.approx(assembled.real, abs=1e-12)
+    @pytest.mark.parametrize("pde", ["heat", "kdv"])
+    def test_signed_terms_recover_the_data(self, pde):
+        # at small t the signed line term carries u0(x) and the others
+        # vanish; as x -> 0+ the initial terms cancel and the signed
+        # boundary term carries g0(t)
+        p = exp_decay_problem(pde)
+        near_t = [v / (2.0 * math.pi) for v in solve(p, 1.0, 1e-4).term_breakdown]
+        assert abs(near_t[0] - math.exp(-1.0)) <= 1e-3
+        assert all(abs(v) <= 1e-3 for v in near_t[1:])
+        near_x = [v / (2.0 * math.pi) for v in solve(p, 1e-3, 0.5).term_breakdown]
+        assert abs(near_x[2] - math.exp(-0.5)) <= 1e-2
+        assert abs(near_x[0] + near_x[1]) <= 1e-2
 
 
 class TestLinearity:
@@ -374,12 +413,6 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             solve(p, 1.0, 0.0)
 
-    def test_pde_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            heat_solve(exp_decay_problem("kdv"), 1.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            kdv_solve(exp_decay_problem("heat"), 1.0, 1.0)
-
 
 class TestGridSweep:
     def test_threaded_matches_serial(self):
@@ -401,7 +434,7 @@ class TestDataOnlyProblem:
             builtin_profile("zero"),
             zero_forcing(),
         )
-        terms = kdv_terms(p, 1.0, 0.5)
+        terms = solve(p, 1.0, 0.5).term_breakdown
         assert terms[2] == 0 and terms[3] == 0 and terms[4] == 0
         assert terms[0] != 0 and terms[1] != 0
 
@@ -448,13 +481,13 @@ class TestOtherDataProfiles:
         )
         for x in (0.7, 1.4):
             u0 = x * math.exp(-0.8 * x * x)
-            assert abs(kdv_solve(p, x, 1e-4).value - u0) <= 1e-3
+            assert abs(solve(p, x, 1e-4).value - u0) <= 1e-3
 
     def test_bump_kdv_initial_recovery(self):
         bump = builtin_profile("bump", a=1.0, b=3.0)
         p = ProblemSpec("kdv", bump, builtin_profile("zero"), zero_forcing())
         for x in (1.5, 2.0, 2.5):
-            assert abs(kdv_solve(p, x, 1e-4).value - float(bump(x))) <= 1e-3
+            assert abs(solve(p, x, 1e-4).value - float(bump(x))) <= 1e-3
 
 
 class TestParameterExtremes:

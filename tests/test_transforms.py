@@ -15,13 +15,11 @@ from utmqp.transforms import (
     Dispersion,
     forcing_tail_expansion,
     forcing_transform,
-    forcing_transforms,
     grouped_forcing_tail_time_transform,
     grouped_forcing_time_transform,
     grouped_time_transform,
     half_line_fourier,
     tail_expansion,
-    time_transform,
 )
 
 
@@ -135,12 +133,13 @@ class TestTimeTransform:
         g0 = builtin_profile("constant", c=1.0)
         for w in (0.5 + 0j, 2.0 - 1.0j, 0.3j):
             t = 1.3
-            expected = (np.exp(w * t) - 1.0) / w
-            assert time_transform(g0, w, t) == pytest.approx(expected, rel=1e-12)
+            expected = (1.0 - np.exp(-w * t)) / w
+            got = grouped_time_transform(g0, w, t)
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_w_zero_gives_plain_integral(self):
         g0 = builtin_profile("constant", c=1.0)
-        assert time_transform(g0, 0j, 0.8) == pytest.approx(0.8)
+        assert grouped_time_transform(g0, 0j, 0.8) == pytest.approx(0.8)
 
     def test_grouped_bound(self):
         # |e^{-w t} gtilde| <= int_0^t |g0| whenever Re w >= 0
@@ -178,17 +177,18 @@ class TestTimeTransform:
 class TestForcingTransforms:
     def test_zero_forcing(self):
         f = zero_forcing()
-        fhat, ftilde = forcing_transforms(f, 1.0 - 0.5j, 2.0 + 0j, 1.0)
-        assert fhat == 0 and ftilde == 0
+        assert forcing_transform(f, 1.0 - 0.5j, 1.0) == 0
+        assert grouped_forcing_time_transform(f, 1.0 - 0.5j, 2.0 + 0j, 1.0) == 0
 
     def test_separable_closed_form(self):
         f = separable_forcing(
             builtin_profile("exp_decay", a=1.0), builtin_profile("constant", c=1.0)
         )
         lam, w, t = 1.5 + 0j, 0.7 + 0.4j, 0.9
-        fhat, ftilde = forcing_transforms(f, lam, w, t)
+        fhat = forcing_transform(f, lam, t)
+        grouped = grouped_forcing_time_transform(f, lam, w, t)
         assert fhat == pytest.approx(1.0 / (1.0 + 1j * lam))
-        assert ftilde == pytest.approx(fhat * (np.exp(w * t) - 1.0) / w)
+        assert grouped == pytest.approx(fhat * (1.0 - np.exp(-w * t)) / w)
 
     def test_generic_paths_match_separable_closed_form(self):
         xp = builtin_profile("exp_decay", a=1.0)
@@ -215,8 +215,7 @@ class TestForcingTransforms:
         f = separable_forcing(
             builtin_profile("exp_decay", a=1.0), builtin_profile("constant", c=1.0)
         )
-        _, ftilde = forcing_transforms(f, 1.0 + 0j, 2.0 + 0j, 0.0)
-        assert ftilde == 0
+        assert grouped_forcing_time_transform(f, 1.0 + 0j, 2.0 + 0j, 0.0) == 0
 
     def test_tail_expansion_leading_term(self):
         f = separable_forcing(
