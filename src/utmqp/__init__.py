@@ -37,7 +37,6 @@ from .solvers import (
     solve_grid,
 )
 from .transforms import (
-    Dispersion,
     forcing_tail_expansion,
     grouped_time_transform,
     half_line_fourier,

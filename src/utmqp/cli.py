@@ -32,7 +32,7 @@ from .counterexamples import (
     kdv_counterexample_field,
 )
 from .errors import UtmqpError
-from .profiles import ProblemSpec, builtin_profile, problem_from_dict, zero_forcing
+from .profiles import ProblemSpec, builtin_profile, load_problem, zero_forcing
 from .reductions import oblique_phi_check, robin_phi_check
 from .solvers import solve_grid, solve, solve_derivative
 from .transforms import half_line_fourier
@@ -75,8 +75,7 @@ def _parse_grid(spec: str):
 
 def _load_problem(path: str) -> ProblemSpec:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        return load_problem(path)
     except FileNotFoundError as exc:
         raise click.UsageError(f"problem file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -84,8 +83,6 @@ def _load_problem(path: str) -> ProblemSpec:
             f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    try:
-        return problem_from_dict(data)
     except (UtmqpError, KeyError) as exc:
         raise click.UsageError(f"bad problem spec in {path}: {exc}") from exc
 
@@ -102,19 +99,10 @@ def _threads(value):
     return None
 
 
-def _config(tol, tail_terms, max_panels=None, phase_cap=None, r_max=None) -> SolverConfig:
-    cfg = DEFAULT_CONFIG
-    if tol is not None:
-        cfg = dataclasses.replace(cfg, tol=tol)
-    if tail_terms is not None:
-        cfg = dataclasses.replace(cfg, tail_terms=tail_terms)
-    if max_panels is not None:
-        cfg = dataclasses.replace(cfg, max_panels=max_panels)
-    if phase_cap is not None:
-        cfg = dataclasses.replace(cfg, phase_cap=phase_cap)
-    if r_max is not None:
-        cfg = dataclasses.replace(cfg, r_max=r_max)
-    return cfg
+def _config(**flags) -> SolverConfig:
+    """DEFAULT_CONFIG with the flags that were passed (not None)."""
+    given = {name: value for name, value in flags.items() if value is not None}
+    return dataclasses.replace(DEFAULT_CONFIG, **given)
 
 
 def _write_json(path: str, payload: dict):
@@ -184,7 +172,8 @@ def solve_cmd(pde, problem_path, grid_spec, out_path, tol, tail_terms,
             f"--pde {pde} contradicts the problem file ({p.pde})"
         )
     xs, ts = _parse_grid(grid_spec)
-    cfg = _config(tol, tail_terms, max_panels, phase_cap, r_max)
+    cfg = _config(tol=tol, tail_terms=tail_terms, max_panels=max_panels,
+                  phase_cap=phase_cap, r_max=r_max)
     samples = solve_grid(p, xs, ts, config=cfg, threads=_threads(threads))
     header = "x,t,U,err,term1,term2,term3,term4,term5"
     rows = [header]
@@ -213,7 +202,7 @@ def sweep_cmd(problem_path, grid_spec, orders, out_path, tol, threads):
     """Evaluate derivative fields d^{k+m}U/dx^k dt^m over a grid."""
     p = _load_problem(problem_path)
     xs, ts = _parse_grid(grid_spec)
-    cfg = _config(tol, None)
+    cfg = _config(tol=tol)
     try:
         pairs = [tuple(int(v) for v in part.split(",")) for part in orders.split(";")]
     except ValueError as exc:
@@ -347,7 +336,7 @@ def verify_cmd(pde, problem_path, checks, out_path, tol):
         raise click.UsageError(
             f"--pde {pde} contradicts the problem file ({p.pde})"
         )
-    cfg = _config(tol, None)
+    cfg = _config(tol=tol)
     names = [c.strip() for c in checks.split(",") if c.strip()]
     unknown = [c for c in names if c not in _CHECKS]
     if unknown:

@@ -20,8 +20,8 @@ Closed forms used:
   (i lam^3)^{n-1} lam^2 e^{i lam x + i lam^3 t} dlam, independent of
   eps > 0.  For n = 1 the integral collapses to an Airy evaluation,
       u1(x,t) = z Ai(z) / t,   z = x (3 t)^{-1/3},
-  which serves as an optional fast path, gated behind a startup self-test
-  against the quadrature route.
+  which is the default route (the test suite checks it against the
+  quadrature route).
 """
 
 from __future__ import annotations
@@ -128,44 +128,24 @@ def kdv_counterexample_airy(x: float, t: float) -> float:
     return z * float(airy(z)[0]) / t
 
 
-_AIRY_GATE: dict = {}
-
-
-def _airy_route_enabled(config: SolverConfig) -> bool:
-    """One-time self-test: quadrature vs Airy closed form at five points."""
-    key = "ok"
-    if key not in _AIRY_GATE:
-        pts = [(0.5, 0.5), (1.0, 1.0), (2.0, 0.7), (0.7, 1.5), (1.5, 0.4)]
-        good = True
-        for x, t in pts:
-            q = _kdv_line_integral(1, x, t, 1.0, config).real
-            a = kdv_counterexample_airy(x, t)
-            if abs(q - a) > 1e-8:
-                good = False
-                break
-        _AIRY_GATE[key] = good
-    return _AIRY_GATE[key]
-
-
 def kdv_counterexample(
     n: int,
     x: float,
     t: float,
     eps: float | None = None,
     config: SolverConfig = DEFAULT_CONFIG,
-    accelerate: bool = True,
 ) -> float:
     """The n-th member of the cubic non-uniqueness family at (x, t).
 
     Evaluated by quadrature along the line Im lambda = eps (the value is
     eps-independent); eps defaults to max(1, 1/(3t))-ish to keep the
-    Gaussian-in-Re(lambda) envelope well scaled.  For n = 1 the Airy
-    closed form is used when it passes its startup self-test.
+    Gaussian-in-Re(lambda) envelope well scaled.  With eps None, n = 1
+    uses the Airy closed form.
     """
     if n < 1:
         raise InvalidParameterError("family order n must be >= 1")
     if eps is None:
-        if n == 1 and accelerate and _airy_route_enabled(config):
+        if n == 1:
             return kdv_counterexample_airy(x, t)
         eps = max(1.0, 1.0 / (1.0 + 3.0 * t))
     val = _kdv_line_integral(n, x, t, eps, config)

@@ -6,37 +6,28 @@ spectral terms,
     2 pi U(x,t) = T_init_line + s_w * T_init_wedge - T_bdry
                   + T_force_line + s_w * T_force_wedge,
 
-with s_w = +1 for the cubic (KdV) family and -1 for the heat family:
+with s_w = +1 for the cubic (KdV) family and -1 for the heat family.
+Each term integrates (i lam)^k K(lam) S(lam) over the real line or the
+wedge W.  The kernel K depends on (x, t) only through e^{i lam x} and
+the dispersion rate w(lam); S is a spatial factor:
 
-* cubic, u_t + u_xxx = f, dispersion rate w(lam) = -i lam^3, wedge rays
-  at arguments pi/3 and 2pi/3 (where Re w = 0):
+    term              kernel K                   spatial factor S
+    init line, wedge  (-w)^m e^{i lam x - w t}   uhat of u0
+    boundary          e^{i lam x} d_t^m G_g0     boundary coefficient
+    force line, wedge e^{i lam x} d_t^m G_tp     uhat of xp
 
-      T_init_line   = int_R  e^{i lam x - w t} uhat(lam) dlam
-      T_init_wedge  = int_W  e^{i lam x - w t}
-                      [a uhat(a lam) + a^2 uhat(a^2 lam)] dlam,  a = e^{2 pi i/3}
-      T_bdry        = int_W  e^{i lam x - w t} 3 lam^2 gtilde(w, t) dlam
-      T_force_line  = int_R  e^{i lam x - w t} ftilde(lam, w, t) dlam
-      T_force_wedge = int_W  e^{i lam x - w t}
-                      [a ftilde(a lam, w, t) + a^2 ftilde(a^2 lam, w, t)] dlam
+with uhat the half-line Fourier transform, f = xp(x) tp(t) the forcing,
+and G_g(w, t) = int_0^t e^{-w (t - tau)} g(tau) dtau the grouped time
+transform (bounded where Re w >= 0; d/dt G = g(t) - w G).  On W the
+wedge map acts on S alone, since it leaves w unchanged: for the cubic
+family (u_t + u_xxx = f, w = -i lam^3, W at pi/3 and 2pi/3) it is
+S -> a S(a lam) + a^2 S(a^2 lam), a = e^{2 pi i/3}; for heat (u_t -
+u_xx = f, w = lam^2, W at pi/4 and 3pi/4) it is S -> S(-lam).  The
+boundary coefficients 3 lam^2 and 2 i lam (the latter pinned by the
+image-kernel oracle and the step-datum closed form) and everything else
+that differs between the families sit in one ``_Family`` record.
 
-* heat, u_t - u_xx = f, rate w = lam^2, wedge rays at pi/4 and 3pi/4:
-
-      T_init_wedge  = int_W e^{i lam x - lam^2 t} uhat(-lam) dlam
-      T_bdry        = int_W e^{i lam x - lam^2 t} 2 i lam gtilde(lam^2, t) dlam
-      T_force_wedge = int_W e^{i lam x - lam^2 t} ftilde(-lam, t) dlam
-
-  (The boundary coefficient 2 i lam is pinned by the image-kernel oracle
-  and by the closed form of the step-datum solution.)
-
-The two families differ only in the entries of one ``_Family`` record:
-the dispersion, the wedge and its rotation, the boundary coefficient, the
-wedge map (the cube-root combination above, or the reflection lam -> -lam),
-the five signs, and the x from which the real-line initial term is
-subtracted.
-
-Every term is evaluated with overflow-safe groupings (the time transforms
-only ever appear as e^{-w t} gtilde) and with contour decompositions that
-give genuinely decaying integrands at all (x, t):
+Each term is integrated where its integrand genuinely decays:
 
 * Boundary terms and every heat wedge term stay bounded as the wedge
   rotates toward the real axis (the reflected argument -lam remains in
@@ -46,20 +37,15 @@ give genuinely decaying integrands at all (x, t):
 
 * The other terms split at |lam| = 1, the split held as data (``_Split``)
   and integrated by the one builder ``_split_term``: a central piece
-  carrying the full integrand, remainder rays carrying it minus its
-  M-term large-lambda expansion (O(lam^{-M-1}), absolutely integrable),
-  and the expansion itself pushed where the time factor decays like
-  e^{-c t |lam|^order}.  The line split (real-line terms) pushes it up
-  short vertical segments onto the far wedge, tilted toward the real
-  axis; the wedge split (cubic wedge terms) around radius-1 arcs onto
-  tilted rays.  A datum whose origin derivatives all vanish has nothing
-  to subtract: its split's tails are tilted by a safe angle instead (on
-  the heat real line it is integrated directly).
-
-Derivatives in x multiply integrands by (i lam)^k; derivatives in t
-multiply data terms by (-w)^m and act on the grouped time transforms of
-the boundary/forcing terms through one rule, the exact recursion
-d/dt G = g(t) - w G (``_time_derivative``).
+  carrying K S, remainder rays carrying K (S - sigma) with sigma the
+  M-term large-lambda expansion of S (O(lam^{-M-1}), absolutely
+  integrable), and K sigma pushed up short vertical segments onto the
+  tilted far wedge (line split) or around radius-1 arcs onto tilted rays
+  (cubic wedge split), where e^{i lam x} and the time factor decay.  An
+  initial datum whose origin derivatives all vanish has nothing to
+  subtract: its split's tails are tilted by a safe angle instead (on the
+  heat real line it is integrated directly).  A forcing kernel decays
+  only algebraically in lam, so the forcing terms always subtract.
 """
 
 from __future__ import annotations
@@ -88,15 +74,17 @@ from .quadrature import (
     power_law_envelope,
 )
 from .transforms import (
-    Dispersion,
-    forcing_tail_expansion,
-    forcing_transform,
-    grouped_forcing_tail_time_transform,
-    grouped_forcing_time_transform,
     grouped_time_transform,
     half_line_fourier,
     support_radius,
     tail_expansion,
+)
+# unused here; bench/tracing.py patches these names on utmqp.solvers
+from .transforms import (  # noqa: F401
+    forcing_tail_expansion,
+    forcing_transform,
+    grouped_forcing_tail_time_transform,
+    grouped_forcing_time_transform,
 )
 
 
@@ -222,12 +210,16 @@ def _reflect(func: Callable) -> Callable:
 
 @dataclass(frozen=True)
 class _Family:
-    """What the five terms of one PDE family need.  ``rotated`` is the wedge
+    """What the five terms of one PDE family need.  ``w`` is the rate of
+    the time factor e^{-w(lam) t}, ``dw`` its lambda-derivative (for the
+    phase density) and ``order`` its degree.  ``rotated`` is the wedge
     tilted by ``rotation`` toward the real axis.  ``wedge_split`` is None
     for heat, whose time factor decays on the real axis: its wedge terms
     are integrated whole on ``rotated`` (see the module docstring)."""
 
-    disp: Dispersion
+    w: Callable
+    dw: Callable
+    order: int
     rotation: float
     rotated: Contour
     line_split: _Split
@@ -238,12 +230,12 @@ class _Family:
     stabilize_from: float
 
 
-def _family(pde, wedge, height, far, rotation, subtract_on_wedge, **fields) -> _Family:
-    """The ``pde`` family on ``wedge``; its line split climbs ``height`` to
-    the wedge rays at radius ``far``."""
+def _family(wedge, height, far, rotation, subtract_on_wedge, **fields) -> _Family:
+    """The family on ``wedge``; its line split climbs ``height`` to the
+    wedge rays at radius ``far``."""
     thl, thr = (ray.angle for ray in wedge)
     return _Family(
-        disp=Dispersion(pde), rotation=rotation, rotated=rotate_rays(wedge, rotation),
+        rotation=rotation, rotated=rotate_rays(wedge, rotation),
         line_split=_line_split(thr, thl, height, far, rotation),
         wedge_split=_wedge_split(thr, thl, rotation) if subtract_on_wedge else None,
         **fields,
@@ -252,12 +244,14 @@ def _family(pde, wedge, height, far, rotation, subtract_on_wedge, **fields) -> _
 
 _FAMILIES = {
     "kdv": _family(
-        "kdv", contours.kdv_contour(), math.sqrt(3.0), 2.0, math.pi / 12.0, True,
+        contours.kdv_contour(), math.sqrt(3.0), 2.0, math.pi / 12.0, True,
+        w=lambda lam: -1j * lam**3, dw=lambda lam: -3j * lam * lam, order=3,
         boundary_coef=lambda lam: 3.0 * lam * lam, wedge_map=_alpha_combo,
         signs=(1.0, 1.0, -1.0, 1.0, 1.0), stabilize_from=0.0,
     ),
     "heat": _family(
-        "heat", contours.heat_contour(), 1.0, math.sqrt(2.0), math.pi / 8.0, False,
+        contours.heat_contour(), 1.0, math.sqrt(2.0), math.pi / 8.0, False,
+        w=lambda lam: lam * lam, dw=lambda lam: 2.0 * lam, order=2,
         boundary_coef=lambda lam: 2j * lam, wedge_map=_reflect,
         signs=(1.0, -1.0, -1.0, 1.0, -1.0), stabilize_from=5.0,
     ),
@@ -269,62 +263,59 @@ _FAMILIES = {
 
 
 def _integrand(
-    disp: Dispersion, k: int, x: float, t: float, m=None, coef=np.ones_like
+    fam: _Family, k: int, x: float, t: float, kernel: Callable
 ) -> Callable[[Callable], Integrand]:
-    """factor -> the integrand (i lam)^k e^{i lam x} factor(lam) of one term.
-
-    A data term (``m`` given) carries its time factor explicitly, as
-    (-w)^m e^{-w t}; a grouped term (``m`` None) has the time decay
-    inside ``factor`` and a coefficient ``coef(lam)``.  Each product stays
-    one expression: splitting it changes which temporaries numpy reuses,
-    and with that the last bits of the integrand."""
+    """spatial -> the integrand (i lam)^k kernel(lam) spatial(lam) of one
+    term.  The product stays one expression in this order: regrouping it
+    moves the last bits of the integrand."""
 
     def density(lam):
-        return x + t * np.abs(disp.dw(lam))
+        return x + t * np.abs(fam.dw(lam))
 
-    def build(factor: Callable) -> Integrand:
+    def build(spatial: Callable) -> Integrand:
         def evaluator(lam):
             mult = (1j * lam) ** k if k else 1.0
-            if m is None:
-                return mult * coef(lam) * np.exp(1j * lam * x) * factor(lam)
-            w = disp.w(lam)
-            if m:
-                mult = mult * (-w) ** m
-            return mult * np.exp(1j * lam * x - w * t) * factor(lam)
+            return mult * kernel(lam) * spatial(lam)
 
         return Integrand(evaluator, phase_density=density)
 
     return build
 
 
-def _time_derivative(G, value: Callable, w, m: int):
-    """The m-th t-derivative of a grouped time transform G = int_0^t
-    e^{-w (t - tau)} g(tau) dtau by the exact recursion d/dt G = g(t) - w G;
-    ``value(j)`` is the j-th t-derivative of g at t."""
-    for j in range(m):
-        G = value(j) - w * G
-    return G
+def _decay(fam: _Family, m: int, x: float, t: float) -> Callable:
+    """The data kernel (-w)^m e^{i lam x - w t}, one exponential."""
+
+    def kernel(lam):
+        w = fam.w(lam)
+        decay = np.exp(1j * lam * x - w * t)
+        return (-w) ** m * decay if m else decay
+
+    return kernel
 
 
-def _forcing_pair(disp: Dispersion, f, k: int, m: int, t: float, config) -> tuple:
-    """(full, tail): lam -> the m-th t-derivative of the grouped forcing
-    time transform and of its tail expansion's, for m <= 1 (``_validate``):
-    the forcing's own t-derivatives are not formed."""
-    terms, tol = _effective_terms(config, disp, k, m), config.tol
+def _grouped(
+    fam: _Family, g: DataProfile, m: int, x: float, t: float, tol: float
+) -> Callable:
+    """The grouped kernel e^{i lam x} d_t^m G_g(w, t), G_g = int_0^t
+    e^{-w (t - tau)} g(tau) dtau, by the exact recursion
+    d/dt G = g(t) - w G."""
 
-    def full(lam):
-        w = disp.w(lam)
-        G = grouped_forcing_time_transform(f, lam, w, t, tol)
-        return _time_derivative(G, lambda j: forcing_transform(f, lam, t, tol), w, m)
+    def kernel(lam):
+        w = fam.w(lam)
+        G = grouped_time_transform(g, w, t, tol)
+        for j in range(m):
+            G = float(g.derivative(j, t)) - w * G
+        return np.exp(1j * lam * x) * G
 
-    def tail(lam):
-        w = disp.w(lam)
-        G = grouped_forcing_tail_time_transform(f, terms, lam, w, t, tol)
-        return _time_derivative(
-            G, lambda j: forcing_tail_expansion(f, terms, lam, t), w, m
-        )
+    return kernel
 
-    return full, tail
+
+def _transforms(u: DataProfile, terms: int, tol: float) -> tuple:
+    """(uhat, sigma): the half-line transform of ``u`` and its
+    ``terms``-term large-lambda expansion."""
+    uhat = lambda lam: half_line_fourier(u, lam, tol)
+    sigma = lambda lam: tail_expansion(u, terms, lam)
+    return uhat, sigma
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +352,9 @@ def _split_term(
 def _wedge_term(
     fam: _Family, build: Callable, full: Callable, tail: Callable, config: SolverConfig
 ) -> QuadratureResult:
-    """A data or forcing wedge term: ``full`` carried through the wedge
-    map, whole on the rotated wedge (heat) or with the mapped ``tail``
-    subtracted over the wedge split (cubic)."""
+    """An initial or forcing wedge term: ``full`` carried through the
+    wedge map, whole on the rotated wedge (heat) or with the mapped
+    ``tail`` subtracted over the wedge split (cubic)."""
     if fam.wedge_split is None:
         return integrate(build(fam.wedge_map(full)), fam.rotated, config.tol, config)
     full, tail = fam.wedge_map(full, check_domain=True), fam.wedge_map(tail)
@@ -397,10 +388,10 @@ def _cubic_tilt(u0: DataProfile, t: float, config: SolverConfig, cap: float = 12
     return d
 
 
-def _effective_terms(config: SolverConfig, disp: Dispersion, k: int, m: int) -> int:
+def _effective_terms(config: SolverConfig, fam: _Family, k: int, m: int) -> int:
     # keep the subtracted remainder O(lam^{-tail_terms-1}) after the
     # derivative multipliers raise the degree by k + order*m
-    return config.tail_terms + k + disp.order * m
+    return config.tail_terms + k + fam.order * m
 
 
 def _initial_real_term(
@@ -409,9 +400,9 @@ def _initial_real_term(
     fam = _FAMILIES[p.pde]
     stabilized = x >= fam.stabilize_from  # subtracted from this threshold on
     tol = config.tol
-    build = _integrand(fam.disp, k, x, t, m)
-    uhat = lambda lam: half_line_fourier(p.u0, lam, tol)
-    terms = _effective_terms(config, fam.disp, k, m)
+    build = _integrand(fam, k, x, t, _decay(fam, m, x, t))
+    terms = _effective_terms(config, fam, k, m)
+    uhat, sigma = _transforms(p.u0, terms, tol)
     # nothing to subtract when all origin derivatives vanish
     trivial = stabilized and _tail_expansion_trivial(p.u0, terms)
 
@@ -428,7 +419,6 @@ def _initial_real_term(
             )
         delta = _cubic_tilt(p.u0, t, config)
         return _split_term(build, uhat, None, fam.line_split, delta, config)
-    sigma = lambda lam: tail_expansion(p.u0, terms, lam)
     return _split_term(build, uhat, sigma, fam.line_split, None, config)
 
 
@@ -436,11 +426,9 @@ def _initial_wedge_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
     fam = _FAMILIES[p.pde]
-    tol = config.tol
-    build = _integrand(fam.disp, k, x, t, m)
-    terms = _effective_terms(config, fam.disp, k, m)
-    uhat = lambda lam: half_line_fourier(p.u0, lam, tol)
-    sigma = lambda lam: tail_expansion(p.u0, terms, lam)
+    build = _integrand(fam, k, x, t, _decay(fam, m, x, t))
+    terms = _effective_terms(config, fam, k, m)
+    uhat, sigma = _transforms(p.u0, terms, config.tol)
     split = fam.wedge_split
 
     trivial = split is not None and _tail_expansion_trivial(p.u0, terms)
@@ -457,32 +445,32 @@ def _boundary_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
     fam = _FAMILIES[p.pde]
-    tol = config.tol
+    build = _integrand(fam, k, x, t, _grouped(fam, p.g0, m, x, t, config.tol))
+    return integrate(build(fam.boundary_coef), fam.rotated, config.tol, config)
 
-    def grouped(lam):
-        w = fam.disp.w(lam)
-        G = grouped_time_transform(p.g0, w, t, tol)
-        return _time_derivative(G, lambda j: float(p.g0.derivative(j, t)), w, m)
 
-    g = _integrand(fam.disp, k, x, t, coef=fam.boundary_coef)(grouped)
-    return integrate(g, fam.rotated, tol, config)
+def _forcing(fam: _Family, p: ProblemSpec, k: int, m: int, x, t, config) -> tuple:
+    """(build, uhat, sigma) of a forcing term: the grouped kernel of the
+    time factor tp and the transforms of the space factor xp."""
+    xp, tp = p.f.factors
+    build = _integrand(fam, k, x, t, _grouped(fam, tp, m, x, t, config.tol))
+    terms = _effective_terms(config, fam, k, m)
+    return (build, *_transforms(xp, terms, config.tol))
 
 
 def _forcing_real_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
     fam = _FAMILIES[p.pde]
-    full, tail = _forcing_pair(fam.disp, p.f, k, m, t, config)
-    build = _integrand(fam.disp, k, x, t)
-    return _split_term(build, full, tail, fam.line_split, None, config)
+    build, uhat, sigma = _forcing(fam, p, k, m, x, t, config)
+    return _split_term(build, uhat, sigma, fam.line_split, None, config)
 
 
 def _forcing_wedge_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
     fam = _FAMILIES[p.pde]
-    full, tail = _forcing_pair(fam.disp, p.f, k, m, t, config)
-    return _wedge_term(fam, _integrand(fam.disp, k, x, t), full, tail, config)
+    return _wedge_term(fam, *_forcing(fam, p, k, m, x, t, config), config)
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +486,16 @@ def _validate(p: ProblemSpec, k: int, m: int, x: float, t: float):
         )
     if k < 0 or m < 0:
         raise UnsupportedOrderError("derivative orders must be nonnegative")
-    order = _FAMILIES[p.pde].disp.order
+    order = _FAMILIES[p.pde].order
     if k + order * m > _MAX_ORDER:
         raise UnsupportedOrderError(
             f"k + {order}*m = {k + order * m} exceeds max order {_MAX_ORDER}"
         )
     if m > 1 and not p.f.is_zero():
         raise UnsupportedOrderError(
-            "time-derivative orders above 1 require zero forcing (the forcing "
-            "terms implement one time derivative, d/dt G = fhat - w G)"
+            "time-derivative orders above 1 require zero forcing (the generic "
+            "time transform is sized by Re w, not |w|, and each order "
+            "multiplies its error by w)"
         )
 
 

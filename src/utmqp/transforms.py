@@ -30,19 +30,18 @@ the decay accelerators behind the stabilized real-line terms.
 
 A forcing is separable, f = xp(x) tp(t) (``ForcingProfile.factors``), so
 each forcing transform is a transform of xp -- uhat_xp or its tail
-expansion -- times tp(t) or the grouped time transform of tp.  The full
-forcing transform and its tail expansion therefore share one time rule,
-and their difference decays like the spatial remainder.
+expansion -- times tp(t) or the grouped time transform of tp.  The four
+forcing helpers below are the library forms of fhat and ftilde built that
+way; the solver composes the transforms of xp and tp itself, so that the
+time transform of tp is computed once per w.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .errors import OutOfDomainError, SingularArgumentError
+from .errors import AccuracyError, OutOfDomainError, SingularArgumentError
 from .profiles import DataProfile, ForcingProfile
 from .quadrature import _gauss_legendre
 
@@ -96,10 +95,15 @@ def _quadrature_half_line(func, lam_arr, tol: float):
     coarse = rule(64)
     for n in (128, 256, 512, 1024):
         fine = rule(n)
-        if np.all(np.abs(fine - coarse) <= tol):
+        gap = np.abs(fine - coarse)
+        if np.all(gap <= tol):
             return fine
         coarse = fine
-    return fine
+    raise AccuracyError(
+        f"half_line_fourier: the {n}-node rule has not converged at "
+        f"|lambda| up to {np.max(np.abs(lam_arr)):.3g}: last |fine - coarse| "
+        f"{np.max(gap):.3g} > tol {tol:.3g}"
+    )
 
 
 def half_line_fourier(u0: DataProfile, lam, tol: float | None = None):
@@ -209,27 +213,3 @@ def grouped_forcing_tail_time_transform(
     must broadcast against each other."""
     xp, tp = f.factors
     return _times_grouped_tp(tail_expansion(xp, terms, lam), tp, w, t, tol)
-
-
-@dataclass(frozen=True)
-class Dispersion:
-    """Dispersion data: the decay rate w(lam) of the time factor
-    e^{-w(lam) t} and its lambda-derivative for oscillation estimates."""
-
-    pde: str
-
-    @property
-    def order(self) -> int:
-        return 2 if self.pde == "heat" else 3
-
-    def w(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        if self.pde == "heat":
-            return lam * lam
-        return -1j * lam**3
-
-    def dw(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        if self.pde == "heat":
-            return 2.0 * lam
-        return -3j * lam * lam

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import airy, erfc
 
-from utmqp.config import SolverConfig
+from utmqp.config import DEFAULT_CONFIG, SolverConfig
 from utmqp.errors import (
     InvalidParameterError,
     OutOfDomainError,
@@ -18,9 +18,11 @@ from utmqp.profiles import (
     separable_forcing,
     zero_forcing,
 )
+from utmqp import solvers, transforms
 from utmqp.solvers import (
     _ALPHA,
     _ALPHA_SQ,
+    _FAMILIES,
     _alpha_combo,
     solve,
     solve_derivative,
@@ -89,6 +91,25 @@ class TestCubeRoots:
             assert np.all(np.isfinite(combo(lam)))
 
 
+class TestDispersion:
+    def test_cubic_rate(self):
+        w = _FAMILIES["kdv"].w
+        lam = 2.0 + 1.0j
+        assert w(lam) == pytest.approx(-1j * lam**3)
+        # Re w = 3 xi^2 eta - eta^3 for lam = xi + i eta
+        xi, eta = lam.real, lam.imag
+        assert w(lam).real == pytest.approx(3 * xi**2 * eta - eta**3)
+
+    def test_heat_rate(self):
+        lam = 1.0 - 2.0j
+        assert _FAMILIES["heat"].w(lam) == pytest.approx(lam * lam)
+
+    def test_rate_vanishes_on_own_wedge(self):
+        w = _FAMILIES["kdv"].w
+        lam = 3.0 * np.exp(1j * math.pi / 3)
+        assert abs(w(lam).real) < 1e-12 * abs(w(lam))
+
+
 class TestZeroData:
     @pytest.mark.parametrize("pde", ["heat", "kdv"])
     def test_all_terms_vanish(self, pde):
@@ -149,7 +170,7 @@ class TestHeatSolver:
     )
     def test_generic_time_factor_matches_closed_form(self, pde, x, t, k, m):
         # the same forcing with its time factor's closed form stripped: the
-        # full and tail forcing transforms then share the generic time rule
+        # forcing kernel then uses the generic time rule
         tp = builtin_profile("exp_of_t", a=-1.0)
         bare = dataclasses.replace(tp, grouped_time_transform=None)
         zero = builtin_profile("zero")
@@ -167,6 +188,31 @@ class TestHeatSolver:
             p = ProblemSpec(pde, builtin_profile("zero"), builtin_profile("zero"), f)
             with pytest.raises(OutOfDomainError):
                 solve(p, 1.0, 0.5)
+
+
+class TestForcingKernel:
+    @pytest.mark.parametrize("term", ["_forcing_real_term", "_forcing_wedge_term"])
+    def test_time_transform_once_per_node(self, monkeypatch, term):
+        # the wedge map leaves w unchanged, so a forcing term evaluates the
+        # grouped time transform of its time factor once per node; counted
+        # where the solver binds it and where the transforms module does
+        points = []
+        original = transforms.grouped_time_transform
+
+        def counted(g, w, t, tol=None):
+            points.append(np.size(w))
+            return original(g, w, t, tol)
+
+        for module in (solvers, transforms):
+            monkeypatch.setattr(module, "grouped_time_transform", counted)
+        f = separable_forcing(
+            builtin_profile("exp_decay", a=1.0), builtin_profile("gaussian", a=1.0)
+        )
+        zero = builtin_profile("zero")
+        p = ProblemSpec("kdv", zero, zero, f)
+        res = getattr(solvers, term)(p, 0, 0, 1.5, 0.5, DEFAULT_CONFIG)
+        assert res.evaluations > 0
+        assert sum(points) <= 1.1 * res.evaluations
 
 
 class TestKdvSolver:

@@ -1,10 +1,9 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
-from utmqp.errors import OutOfDomainError, SingularArgumentError
+from utmqp.errors import AccuracyError, OutOfDomainError, SingularArgumentError
 from utmqp.profiles import (
     builtin_profile,
     combine_profiles,
@@ -12,7 +11,6 @@ from utmqp.profiles import (
     zero_forcing,
 )
 from utmqp.transforms import (
-    Dispersion,
     forcing_tail_expansion,
     forcing_transform,
     grouped_forcing_tail_time_transform,
@@ -72,6 +70,13 @@ class TestHalfLineFourier:
         bare = strip_closed_forms(builtin_profile("exp_decay", a=1.0))
         with pytest.raises(OutOfDomainError):
             half_line_fourier(bare, 1.0 + 0.5j)
+
+    def test_unconverged_quadrature_raises(self):
+        # the 512- and 1024-node sums differ by 7.6 here, so neither may
+        # be returned as the transform
+        bare = dataclasses.replace(builtin_profile("bump", a=0.0, b=40.0), transform=None)
+        with pytest.raises(AccuracyError, match="half_line_fourier"):
+            half_line_fourier(bare, 200.0, tol=1e-9)
 
     def test_compact_support_transform_continues_upward(self):
         p = builtin_profile("bump", a=1.0, b=3.0)
@@ -258,22 +263,3 @@ class TestForcingTransforms:
                 expected += grouped_time_transform(trace, w, t) / (1j * lam) ** j
             assert np.allclose(got, expected, rtol=0, atol=1e-12)
 
-
-class TestDispersion:
-    def test_cubic_rate(self):
-        d = Dispersion("kdv")
-        lam = 2.0 + 1.0j
-        assert d.w(lam) == pytest.approx(-1j * lam**3)
-        # Re w = 3 xi^2 eta - eta^3 for lam = xi + i eta
-        xi, eta = lam.real, lam.imag
-        assert d.w(lam).real == pytest.approx(3 * xi**2 * eta - eta**3)
-
-    def test_heat_rate(self):
-        d = Dispersion("heat")
-        lam = 1.0 - 2.0j
-        assert d.w(lam) == pytest.approx(lam * lam)
-
-    def test_rate_vanishes_on_own_wedge(self):
-        d = Dispersion("kdv")
-        lam = 3.0 * np.exp(1j * math.pi / 3)
-        assert abs(d.w(lam).real) < 1e-12 * abs(d.w(lam))
