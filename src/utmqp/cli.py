@@ -154,17 +154,10 @@ def dump_transform(problem_path, lam_grid, out_path):
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--tol", type=float, default=None,
               help=f"quadrature tolerance per term [default {DEFAULT_CONFIG.tol:g}]")
-@click.option("--tail-terms", type=int, default=None,
-              help=f"large-lambda expansion terms [default {DEFAULT_CONFIG.tail_terms}]")
 @click.option("--max-panels", type=int, default=None,
               help=f"adaptive panel budget [default {DEFAULT_CONFIG.max_panels}]")
-@click.option("--phase-cap", type=float, default=None,
-              help=f"max phase per panel [default {DEFAULT_CONFIG.phase_cap:g}]")
-@click.option("--r-max", type=float, default=None,
-              help=f"ray truncation cap [default {DEFAULT_CONFIG.r_max:g}]")
 @click.option("--threads", type=int, default=None)
-def solve_cmd(pde, problem_path, grid_spec, out_path, tol, tail_terms,
-              max_panels, phase_cap, r_max, threads):
+def solve_cmd(pde, problem_path, grid_spec, out_path, tol, max_panels, threads):
     """Evaluate the solution field on a grid and write CSV."""
     p = _load_problem(problem_path)
     if pde is not None and pde != p.pde:
@@ -172,8 +165,7 @@ def solve_cmd(pde, problem_path, grid_spec, out_path, tol, tail_terms,
             f"--pde {pde} contradicts the problem file ({p.pde})"
         )
     xs, ts = _parse_grid(grid_spec)
-    cfg = _config(tol=tol, tail_terms=tail_terms, max_panels=max_panels,
-                  phase_cap=phase_cap, r_max=r_max)
+    cfg = _config(tol=tol, max_panels=max_panels)
     samples = solve_grid(p, xs, ts, config=cfg, threads=_threads(threads))
     header = "x,t,U,err,term1,term2,term3,term4,term5"
     rows = [header]

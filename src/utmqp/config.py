@@ -1,15 +1,16 @@
 """Numerical configuration knobs.
 
-The tolerance, budgets and expansion length that callers tune per run
-live here so the CLI can surface them as flags and test code can tighten
-them locally.  The contour geometry (ray rotations), the heat
-stabilization threshold and the derivative-order cap are fixed by the
-method and live with the solvers.
+The tolerance and panel budget that callers tune per run live here so
+the CLI can surface them as flags and test code can tighten them
+locally; ``threads`` is the grid sweeps' worker count.  Everything else
+is fixed by the method and lives as a constant with its user: the
+contour geometry, the expansion length and the derivative-order cap in
+:mod:`utmqp.solvers`, the phase cap per panel and the ray-truncation cap
+in :mod:`utmqp.quadrature`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -19,13 +20,6 @@ class SolverConfig:
     tol: float = 1e-9
     # adaptive subdivision budget per contour piece
     max_panels: int = 20000
-    # hard cap for ray truncation searches
-    r_max: float = 1e6
-    # max accumulated phase of e^{i lambda x - w t} per quadrature panel
-    phase_cap: float = 8.0 * math.pi
-    # number of terms kept in the large-lambda tail expansions of the
-    # half-line transforms (raised automatically with derivative order)
-    tail_terms: int = 6
     # number of worker threads for grid sweeps (None: os.cpu_count())
     threads: int | None = None
 

@@ -226,15 +226,16 @@ class ViolationReport:
         return f"E(t) ~ t^{self.exponent:.3f} as t -> 0+"
 
 
-def _energy_of_field(field: Callable, t: float, n_nodes: int = 96) -> float:
-    """int_0^inf field(x, t)^2 dx with probe-doubled upper limit."""
+def _energy_of_field(field: Callable, t: float) -> float:
+    """int_0^inf field(x, t)^2 dx with probe-doubled upper limit, by
+    96-point Gauss-Legendre on each of nine geometric panels."""
     upper = 1.0
     while upper < 1e4:
         probe = max(abs(field(upper, t)), abs(field(1.3 * upper, t)))
         if probe**2 * upper < 1e-13:
             break
         upper *= 2.0
-    nodes, weights = _gauss_legendre(n_nodes)
+    nodes, weights = _gauss_legendre(96)
     total = 0.0
     # split [0, upper] geometrically toward 0 where the profile peaks
     edges = [0.0] + [upper * 2.0 ** (-k) for k in range(8, -1, -1)]

@@ -96,6 +96,11 @@ _G7_WEIGHTS = np.array(
     ]
 )
 
+# max accumulated phase of e^{i lambda x - w t} per pre-split panel
+_PHASE_CAP = 8.0 * math.pi
+# hard cap for ray truncation searches
+_R_MAX = 1e6
+
 _GL_CACHE: dict = {}
 
 
@@ -148,7 +153,7 @@ def ray_truncation(
     g: Integrand,
     ray: Ray,
     tol: float,
-    r_max: float | None = None,
+    r_max: float = _R_MAX,
 ) -> float:
     """Truncation radius R for an infinite ray.
 
@@ -160,7 +165,6 @@ def ray_truncation(
     consecutive probe radii; probing uses the max of |g| at three nearby
     points to dodge accidental zeros of oscillatory integrands.
     """
-    r_max = r_max or DEFAULT_CONFIG.r_max
     threshold = tol / 10.0
 
     if g.decay_envelope is not None:
@@ -272,7 +276,7 @@ def _gk_panels(f_vals: np.ndarray, vel: np.ndarray, half: np.ndarray):
 
 def _initial_panels(g: Integrand, seg, s0: float, s1: float, cfg: SolverConfig):
     """Uniform pre-split of [s0, s1] so the accumulated phase per panel
-    stays below cfg.phase_cap."""
+    stays below the phase cap."""
     n = 1
     if g.phase_density is not None:
         ss = np.linspace(s0, s1, 65)
@@ -281,7 +285,7 @@ def _initial_panels(g: Integrand, seg, s0: float, s1: float, cfg: SolverConfig):
             seg.velocity(ss)
         )
         total_phase = float(np.trapezoid(rate, ss))
-        n = max(1, min(int(math.ceil(total_phase / cfg.phase_cap)), cfg.max_panels // 2))
+        n = max(1, min(int(math.ceil(total_phase / _PHASE_CAP)), cfg.max_panels // 2))
     n = max(n, 2)
     edges = np.linspace(s0, s1, n + 1)
     return edges[:-1], edges[1:]
@@ -399,7 +403,7 @@ def integrate(
         if seg.finite:
             s0, s1 = 0.0, 1.0
         else:
-            s0, s1 = 0.0, ray_truncation(g, seg, seg_tol, config.r_max)
+            s0, s1 = 0.0, ray_truncation(g, seg, seg_tol)
         part = _integrate_segment(g, seg, s0, s1, seg_tol, config)
         part = QuadratureResult(
             seg.orientation * part.value, part.error_estimate, part.evaluations

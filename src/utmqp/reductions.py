@@ -68,8 +68,9 @@ class PhiReport:
         }
 
 
-def _rk4_zero_start(rhs: Callable, y0: np.ndarray, t0: float, t1: float, n: int):
-    """Fixed-step RK4; returns max |y[0]| along the way."""
+def _rk4_zero_start(rhs: Callable, y0: np.ndarray, t0: float, t1: float):
+    """Fixed-step RK4 with 2000 steps; returns max |y[0]| along the way."""
+    n = 2000
     h = (t1 - t0) / n
     y = np.array(y0, dtype=float)
     t = t0
@@ -115,7 +116,7 @@ def robin_phi_check(A: float, B: float, span: float = 10.0) -> PhiReport:
     def rhs(t, y):
         return np.array([coef * y[0]])
 
-    worst = _rk4_zero_start(rhs, np.array([0.0]), 0.0, span, 2000)
+    worst = _rk4_zero_start(rhs, np.array([0.0]), 0.0, span)
     return PhiReport(
         branch="regular",
         max_abs_phi=worst,
@@ -145,8 +146,8 @@ def oblique_phi_check(A: float, B: float, C: float, span: float = 10.0) -> PhiRe
         # y = (phi, phi'); a2 phi'' + a1 phi' + a0 phi = 0
         return np.array([y[1], -(a1 * y[1] + a0 * y[0]) / a2])
 
-    worst_fwd = _rk4_zero_start(rhs, np.array([0.0, 0.0]), 0.0, span, 2000)
-    worst_bwd = _rk4_zero_start(rhs, np.array([0.0, 0.0]), 0.0, -span, 2000)
+    worst_fwd = _rk4_zero_start(rhs, np.array([0.0, 0.0]), 0.0, span)
+    worst_bwd = _rk4_zero_start(rhs, np.array([0.0, 0.0]), 0.0, -span)
     worst = max(worst_fwd, worst_bwd)
     return PhiReport(
         branch="regular",

@@ -32,8 +32,8 @@ Each term is integrated where its integrand genuinely decays:
 * Boundary terms and every heat wedge term stay bounded as the wedge
   rotates toward the real axis (the reflected argument -lam remains in
   the transforms' lower half-plane), so they are integrated whole on the
-  rotated wedge.  The heat initial real-line term below x = 5 is
-  integrated directly on the real line (its Gaussian factor decays).
+  rotated wedge.  The heat initial real-line term is integrated directly
+  on the real line (its Gaussian factor decays).
 
 * The other terms split at |lam| = 1, the split held as data (``_Split``)
   and integrated by the one builder ``_split_term``: a central piece
@@ -43,9 +43,9 @@ Each term is integrated where its integrand genuinely decays:
   tilted far wedge (line split) or around radius-1 arcs onto tilted rays
   (cubic wedge split), where e^{i lam x} and the time factor decay.  An
   initial datum whose origin derivatives all vanish has nothing to
-  subtract: its split's tails are tilted by a safe angle instead (on the
-  heat real line it is integrated directly).  A forcing kernel decays
-  only algebraically in lam, so the forcing terms always subtract.
+  subtract: its split's tails are tilted by a safe angle instead.  A
+  forcing kernel decays only algebraically in lam, so the forcing terms
+  always subtract.
 """
 
 from __future__ import annotations
@@ -110,6 +110,14 @@ class FieldSample:
 
 # cap on k + order*m for derivative evaluation
 _MAX_ORDER = 8
+
+# terms of the large-lambda expansions subtracted from the half-line
+# transforms, before the derivative orders raise the count
+_TAIL_TERMS = 6
+
+# the growth e^_TILT_CAP a tilted transform may gain over the cubic
+# time factor (see _cubic_tilt)
+_TILT_CAP = 12.0
 
 # the primitive cube root of unity and its square (the cubic wedge map)
 _ALPHA = cmath.exp(2j * math.pi / 3.0)
@@ -214,8 +222,9 @@ class _Family:
     the time factor e^{-w(lam) t}, ``dw`` its lambda-derivative (for the
     phase density) and ``order`` its degree.  ``rotated`` is the wedge
     tilted by ``rotation`` toward the real axis.  ``wedge_split`` is None
-    for heat, whose time factor decays on the real axis: its wedge terms
-    are integrated whole on ``rotated`` (see the module docstring)."""
+    for heat, whose time factor decays on the real axis: its initial
+    real-line term is integrated directly and its wedge terms whole on
+    ``rotated`` (see the module docstring)."""
 
     w: Callable
     dw: Callable
@@ -227,7 +236,6 @@ class _Family:
     boundary_coef: Callable
     wedge_map: Callable
     signs: tuple
-    stabilize_from: float
 
 
 def _family(wedge, height, far, rotation, subtract_on_wedge, **fields) -> _Family:
@@ -247,13 +255,13 @@ _FAMILIES = {
         contours.kdv_contour(), math.sqrt(3.0), 2.0, math.pi / 12.0, True,
         w=lambda lam: -1j * lam**3, dw=lambda lam: -3j * lam * lam, order=3,
         boundary_coef=lambda lam: 3.0 * lam * lam, wedge_map=_alpha_combo,
-        signs=(1.0, 1.0, -1.0, 1.0, 1.0), stabilize_from=0.0,
+        signs=(1.0, 1.0, -1.0, 1.0, 1.0),
     ),
     "heat": _family(
         contours.heat_contour(), 1.0, math.sqrt(2.0), math.pi / 8.0, False,
         w=lambda lam: lam * lam, dw=lambda lam: 2.0 * lam, order=2,
         boundary_coef=lambda lam: 2j * lam, wedge_map=_reflect,
-        signs=(1.0, -1.0, -1.0, 1.0, -1.0), stabilize_from=5.0,
+        signs=(1.0, -1.0, -1.0, 1.0, -1.0),
     ),
 }
 
@@ -365,12 +373,12 @@ def _tail_expansion_trivial(u0: DataProfile, terms: int) -> bool:
     return all(abs(float(u0.derivative(j, 0.0))) < 1e-14 for j in range(terms))
 
 
-def _cubic_tilt(u0: DataProfile, t: float, config: SolverConfig, cap: float = 12.0):
+def _cubic_tilt(u0: DataProfile, t: float, config: SolverConfig):
     """Largest tilt <= the cubic rotation for which the transform growth
-    e^{b r sin(d)} along the tilted ray stays within e^cap of the cubic
-    decay e^{-t r^3 sin(3 d)}, b the support radius of ``u0`` (declared,
-    else probed).  Keeps upward continuations of compact-support
-    transforms free of catastrophic cancellation."""
+    e^{b r sin(d)} along the tilted ray stays within e^_TILT_CAP of the
+    cubic decay e^{-t r^3 sin(3 d)}, b the support radius of ``u0``
+    (declared, else probed).  Keeps upward continuations of
+    compact-support transforms free of catastrophic cancellation."""
     b = u0.support_radius
     b = support_radius(u0, config.tol) if b is None else float(b)
     order = 3
@@ -383,33 +391,32 @@ def _cubic_tilt(u0: DataProfile, t: float, config: SolverConfig, cap: float = 12
         return b * s1 * r_star * (1.0 - 1.0 / order)
 
     d = _FAMILIES["kdv"].rotation
-    while d > 1e-4 and max_exponent(d) > cap:
+    while d > 1e-4 and max_exponent(d) > _TILT_CAP:
         d /= 1.5
     return d
 
 
-def _effective_terms(config: SolverConfig, fam: _Family, k: int, m: int) -> int:
-    # keep the subtracted remainder O(lam^{-tail_terms-1}) after the
+def _effective_terms(fam: _Family, k: int, m: int) -> int:
+    # keep the subtracted remainder O(lam^{-_TAIL_TERMS-1}) after the
     # derivative multipliers raise the degree by k + order*m
-    return config.tail_terms + k + fam.order * m
+    return _TAIL_TERMS + k + fam.order * m
 
 
 def _initial_real_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
     fam = _FAMILIES[p.pde]
-    stabilized = x >= fam.stabilize_from  # subtracted from this threshold on
     tol = config.tol
     build = _integrand(fam, k, x, t, _decay(fam, m, x, t))
-    terms = _effective_terms(config, fam, k, m)
+    terms = _effective_terms(fam, k, m)
     uhat, sigma = _transforms(p.u0, terms, tol)
-    # nothing to subtract when all origin derivatives vanish
-    trivial = stabilized and _tail_expansion_trivial(p.u0, terms)
 
-    if not stabilized or (trivial and fam.wedge_split is None):
+    if fam.wedge_split is None:
+        # the heat time factor decays on the real axis
         return integrate(build(uhat), contours.real_line(), tol, config)
 
-    if trivial:
+    # nothing to subtract when all origin derivatives vanish
+    if _tail_expansion_trivial(p.u0, terms):
         # the cubic oscillatory tails are instead lifted off the real
         # axis, which the transform's continuation permits
         if not p.u0.transform_upper_ok:
@@ -427,7 +434,7 @@ def _initial_wedge_term(
 ) -> QuadratureResult:
     fam = _FAMILIES[p.pde]
     build = _integrand(fam, k, x, t, _decay(fam, m, x, t))
-    terms = _effective_terms(config, fam, k, m)
+    terms = _effective_terms(fam, k, m)
     uhat, sigma = _transforms(p.u0, terms, config.tol)
     split = fam.wedge_split
 
@@ -454,7 +461,7 @@ def _forcing(fam: _Family, p: ProblemSpec, k: int, m: int, x, t, config) -> tupl
     time factor tp and the transforms of the space factor xp."""
     xp, tp = p.f.factors
     build = _integrand(fam, k, x, t, _grouped(fam, tp, m, x, t, config.tol))
-    terms = _effective_terms(config, fam, k, m)
+    terms = _effective_terms(fam, k, m)
     return (build, *_transforms(xp, terms, config.tol))
 
 

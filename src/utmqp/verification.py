@@ -140,20 +140,17 @@ def pde_residual(
 # ---------------------------------------------------------------------------
 
 
-def _gauss_kernel(z, t):
-    return np.exp(-z * z / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-
-
-def _panel_integral(func, a: float, b: float, n: int = 48) -> float:
-    nodes, weights = _gauss_legendre(n)
+def _panel_integral(func, a: float, b: float) -> float:
+    """24-point Gauss-Legendre on [a, b]."""
+    nodes, weights = _gauss_legendre(24)
     xs = 0.5 * (b - a) * (nodes + 1.0) + a
     return 0.5 * (b - a) * float(np.dot(weights, func(xs)))
 
 
 def _adaptive_interval(func, a: float, b: float, tol: float, depth: int = 0) -> float:
-    coarse = _panel_integral(func, a, b, 24)
-    fine = _panel_integral(func, a, 0.5 * (a + b), 24) + _panel_integral(
-        func, 0.5 * (a + b), b, 24
+    coarse = _panel_integral(func, a, b)
+    fine = _panel_integral(func, a, 0.5 * (a + b)) + _panel_integral(
+        func, 0.5 * (a + b), b
     )
     if abs(fine - coarse) <= tol or depth >= 14:
         return fine
@@ -161,6 +158,24 @@ def _adaptive_interval(func, a: float, b: float, tol: float, depth: int = 0) -> 
     return _adaptive_interval(func, a, mid, tol / 2, depth + 1) + _adaptive_interval(
         func, mid, b, tol / 2, depth + 1
     )
+
+
+def _image_kernel_integral(h, x: float, nu: float, tol: float) -> float:
+    """int_0^inf [K(x-y, nu) - K(x+y, nu)] h(y) dy.  Writing y = +-x +
+    2 sqrt(nu) z turns each kernel into e^{-z^2}/sqrt(pi), so the narrow
+    peak at y = x becomes a unit Gaussian weight however small nu is."""
+    root = 2.0 * math.sqrt(nu)
+
+    def direct(z):
+        return np.exp(-z * z) * h(x + root * z) / math.sqrt(math.pi)
+
+    def image(z):
+        return np.exp(-z * z) * h(-x + root * z) / math.sqrt(math.pi)
+
+    val = _adaptive_interval(direct, max(-x / root, -9.0), 9.0, tol)
+    if x / root < 9.0:
+        val -= _adaptive_interval(image, x / root, 9.0, tol)
+    return val
 
 
 def heat_oracle(
@@ -175,7 +190,8 @@ def heat_oracle(
     with K the Gauss kernel.  The boundary integral is the image of
     int_0^t x/sqrt(4 pi (t-s)^3) e^{-x^2/(4(t-s))} g0(s) ds under
     s -> t - x^2/(4 sigma^2), which removes the kernel's near-boundary
-    spike.  Duhamel's substitution uses the same device.
+    spike.  The initial part and each inner Duhamel integral absorb the
+    kernel into a unit Gaussian (``_image_kernel_integral``).
     """
     if p.pde != "heat":
         raise InvalidParameterError("heat_oracle needs a heat problem")
@@ -184,16 +200,7 @@ def heat_oracle(
     total = 0.0
 
     if not p.u0.is_zero():
-        upper = 4.0
-        while upper < 1e5:
-            if np.all(np.abs(p.u0(np.array([upper, 1.4 * upper]))) < tol / 100.0):
-                break
-            upper *= 2.0
-
-        def initial_part(y):
-            return (_gauss_kernel(x - y, t) - _gauss_kernel(x + y, t)) * p.u0(y)
-
-        total += _adaptive_interval(initial_part, 0.0, upper, tol)
+        total += _image_kernel_integral(p.u0, x, t, tol)
 
     if not p.g0.is_zero():
         s0 = x / (2.0 * math.sqrt(t))
@@ -206,28 +213,15 @@ def heat_oracle(
         )
 
     if not p.f.is_zero():
-        # Duhamel with the kernel absorbed: writing nu = t - s and
-        # y = +-x + 2 sqrt(nu) z turns each kernel into e^{-z^2}/sqrt(pi),
-        # so the nu-integrand is smooth down to nu = 0 (where it tends to
-        # f(x, t)) and every inner integral sees a unit Gaussian weight.
-        def smoothed_inner(nu: float) -> float:
-            root = 2.0 * math.sqrt(nu)
-
-            def direct(z):
-                return np.exp(-z * z) * p.f(x + root * z, t - nu) / math.sqrt(math.pi)
-
-            def image(z):
-                return np.exp(-z * z) * p.f(-x + root * z, t - nu) / math.sqrt(math.pi)
-
-            lo_direct = -x / root
-            val = _adaptive_interval(direct, max(lo_direct, -9.0), 9.0, tol)
-            lo_image = x / root
-            if lo_image < 9.0:
-                val -= _adaptive_interval(image, lo_image, 9.0, tol)
-            return val
-
+        # with nu = t - s the nu-integrand is smooth down to nu = 0, where
+        # it tends to f(x, t)
         def duhamel_outer(nus):
-            return np.array([smoothed_inner(max(nu, 1e-300)) for nu in nus])
+            return np.array([
+                _image_kernel_integral(
+                    lambda y: p.f(y, t - nu), x, max(nu, 1e-300), tol
+                )
+                for nu in nus
+            ])
 
         total += _adaptive_interval(duhamel_outer, 0.0, t, tol)
 
@@ -277,12 +271,16 @@ def _tensor_interp(xs, ts, values, x, t):
     return _cubic_1d(ts, col, t)
 
 
-def _build_spatial_operator(pde: str, n: int, h: float, damping: float = 0.05):
+# weight of the cubic scheme's fourth-difference damping (see below)
+_FD_DAMPING = 0.05
+
+
+def _build_spatial_operator(pde: str, n: int, h: float):
     """Matrix A for (d/dt)U = A U + bcol*g0(t) + f on interior nodes 1..n
     (node 0 is the boundary), with one-sided second-order closures.
 
     heat:  A ~ d^2/dx^2.
-    cubic: A ~ -d^3/dx^3 - damping*h^3*D4, where D4 is the fourth
+    cubic: A ~ -d^3/dx^3 - _FD_DAMPING*h^3*D4, where D4 is the fourth
     difference.  Centered dispersive stencils radiate parasitic sawtooth
     (2 dx) modes that pollute boundary gradients; the O(h^3)-consistent
     fourth-difference term damps them without breaking the scheme's
@@ -314,13 +312,8 @@ def _build_spatial_operator(pde: str, n: int, h: float, damping: float = 0.05):
         lambda i: w_skew if i == 0 else w_c,
         -1.0,
     )
-    if damping > 0.0:
-        d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / h**4
-        add(
-            lambda i: (-2, -1, 0, 1, 2),
-            lambda i: d4,
-            -damping * h**3,
-        )
+    d4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0]) / h**4
+    add(lambda i: (-2, -1, 0, 1, 2), lambda i: d4, -_FD_DAMPING * h**3)
     return A.tocsc(), bcol
 
 

@@ -356,13 +356,16 @@ class TestStabilizedTerm:
                 assert abs(s.term_breakdown[0] - ref) <= bound
 
     def test_heat_agreement_with_direct_route(self):
-        # the heat line term is subtracted from x = 5 on; below it is
-        # integrated directly: both against the free-space kernel
+        # the heat line term is integrated directly on the real line at
+        # every x: against the free-space convolution of e^{-y}, y > 0,
+        # 1/2 e^{t-x} erfc((2t - x)/(2 sqrt t)), within the reported budget
         p = exp_decay_problem("heat")
-        for x, t in [(6.0, 1.0), (1.0, 1.0)]:
-            free, _ = free_space_heat_terms(p.u0, x, t)
-            line = solve(p, x, t).term_breakdown[0] / (2.0 * math.pi)
-            assert abs(line - free) <= 1e-8
+        for x in (1.0, 6.0, 20.0):
+            for t in (1e-3, 1.0):
+                s = solve(p, x, t)
+                line = s.term_breakdown[0] / (2.0 * math.pi)
+                free = 0.5 * math.exp(t - x) * erfc((2.0 * t - x) / (2.0 * math.sqrt(t)))
+                assert abs(line - free) <= s.error_estimate + 1e-12
 
     def test_zero_datum(self):
         p = zero_problem("kdv")

@@ -171,6 +171,23 @@ class TestHeatOracle:
         )
         assert heat_oracle(p, 1.0, 1.0) == 0.0
 
+    def test_exp_datum_closed_form_at_small_t(self):
+        # the kernel's peak at y = x is narrower than any fixed panel in
+        # y; the oracle must still resolve it
+        p = ProblemSpec(
+            "heat",
+            builtin_profile("exp_decay", a=1.0),
+            builtin_profile("zero"),
+            zero_forcing(),
+        )
+        for x, t in [(5.0, 1e-4), (8.0, 1e-3), (20.0, 1e-3)]:
+            r = 2.0 * math.sqrt(t)
+            exact = 0.5 * math.exp(t) * (
+                math.exp(-x) * erfc((2.0 * t - x) / r)
+                - math.exp(x) * erfc((x + 2.0 * t) / r)
+            )
+            assert heat_oracle(p, x, t) == pytest.approx(exact, abs=1e-10)
+
     def test_boundary_kernel_is_first_family_member(self):
         # x/sqrt(4 pi s^3) e^{-x^2/(4 s)} coincides with the first
         # non-uniqueness member (1/sqrt(4 pi) = 1/(2 sqrt(pi)))
