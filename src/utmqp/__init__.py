@@ -13,8 +13,8 @@ from .contours import (
     heat_contour,
     indented_line,
     kdv_contour,
+    ray_pair,
     real_line,
-    rotate_rays,
 )
 from .profiles import (
     DataProfile,
@@ -43,7 +43,6 @@ from .transforms import (
     tail_expansion,
 )
 from .counterexamples import (
-    CounterexampleField,
     heat_counterexample,
     heat_counterexample_field,
     hypothesis_violation_report,

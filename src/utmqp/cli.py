@@ -37,6 +37,7 @@ from .reductions import oblique_phi_check, robin_phi_check
 from .solvers import solve_grid, solve, solve_derivative
 from .transforms import half_line_fourier
 from .verification import (
+    VerificationReport,
     boundary_recovery,
     decay_supremum,
     energy_trace,
@@ -60,6 +61,8 @@ def _parse_axis(spec: str):
         raise click.UsageError(f"bad axis spec {spec!r}, want lo:hi:n") from exc
     if n < 1:
         raise click.UsageError("axis needs at least one point")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise click.UsageError(f"axis bounds must be finite, got {spec!r}")
     return np.linspace(lo, hi, n)
 
 
@@ -105,6 +108,13 @@ def _config(**flags) -> SolverConfig:
     return dataclasses.replace(DEFAULT_CONFIG, **given)
 
 
+def _write_csv(path: str, header: str, rows) -> None:
+    """``header`` then one line per row of values, each in ``_FLOAT_FMT``."""
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _write_json(path: str, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -136,14 +146,9 @@ def dump_transform(problem_path, lam_grid, out_path):
     """Tabulate the initial datum's half-line transform on a lambda grid."""
     p = _load_problem(problem_path)
     lams = _parse_axis(lam_grid)
-    rows = ["re_lambda,im_lambda,re_uhat,im_uhat"]
-    vals = half_line_fourier(p.u0, lams.astype(complex))
-    for lam, v in zip(lams, np.atleast_1d(vals)):
-        rows.append(
-            ",".join([_fmt(lam), _fmt(0.0), _fmt(v.real), _fmt(v.imag)])
-        )
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    vals = np.atleast_1d(half_line_fourier(p.u0, lams.astype(complex)))
+    _write_csv(out_path, "re_lambda,im_lambda,re_uhat,im_uhat",
+               [(lam, 0.0, v.real, v.imag) for lam, v in zip(lams, vals)])
     click.echo(f"wrote {len(lams)} transform samples to {out_path}")
 
 
@@ -167,18 +172,10 @@ def solve_cmd(pde, problem_path, grid_spec, out_path, tol, max_panels, threads):
     xs, ts = _parse_grid(grid_spec)
     cfg = _config(tol=tol, max_panels=max_panels)
     samples = solve_grid(p, xs, ts, config=cfg, threads=_threads(threads))
-    header = "x,t,U,err,term1,term2,term3,term4,term5"
-    rows = [header]
-    for s in samples:
-        mags = [abs(term) for term in s.term_breakdown]
-        rows.append(
-            ",".join(
-                [_fmt(s.x), _fmt(s.t), _fmt(s.value), _fmt(s.error_estimate)]
-                + [_fmt(mv) for mv in mags]
-            )
-        )
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_csv(out_path, "x,t,U,err,term1,term2,term3,term4,term5", [
+        (s.x, s.t, s.value, s.error_estimate, *(abs(v) for v in s.term_breakdown))
+        for s in samples
+    ])
     click.echo(f"wrote {len(samples)} samples to {out_path}")
 
 
@@ -203,16 +200,12 @@ def sweep_cmd(problem_path, grid_spec, orders, out_path, tol, threads):
     for k, m in pairs:
         samples = solve_grid(p, xs, ts, k=k, m=m, config=cfg, threads=_threads(threads))
         columns[(k, m)] = samples
-    header = "x,t," + ",".join(f"d{k}{m}" for k, m in pairs)
-    rows = [header]
     n = len(xs) * len(ts)
     base = columns[pairs[0]]
-    for i in range(n):
-        cells = [_fmt(base[i].x), _fmt(base[i].t)]
-        cells += [_fmt(columns[pair][i].value) for pair in pairs]
-        rows.append(",".join(cells))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_csv(out_path, "x,t," + ",".join(f"d{k}{m}" for k, m in pairs), [
+        (base[i].x, base[i].t, *(columns[pair][i].value for pair in pairs))
+        for i in range(n)
+    ])
     click.echo(f"wrote {n} rows x {len(pairs)} orders to {out_path}")
 
 
@@ -229,29 +222,24 @@ def _check_residual(p, cfg):
         f_val = float(p.f(x, t)) if forcing else 0.0
         res = ut + ux - f_val if p.pde == "kdv" else ut - ux - f_val
         worst_exact = max(worst_exact, abs(res))
-    return {
-        "name": "residual",
-        "grid": f"points={pts}",
-        "measured": {"fd_residual": worst_fd, "exact_integrand_residual": worst_exact},
-        "thresholds": {"fd_residual": 1e-3, "exact_integrand_residual": 1e-6},
-        "passed": bool(worst_fd <= 1e-3 and worst_exact <= 1e-6),
-    }
-
-
-def _check_recovery(p, cfg):
-    rep = boundary_recovery(p, config=cfg)
-    return rep.to_dict()
+    return VerificationReport(
+        name="residual",
+        grid=f"points={pts}",
+        measured={"fd_residual": worst_fd, "exact_integrand_residual": worst_exact},
+        thresholds={"fd_residual": 1e-3, "exact_integrand_residual": 1e-6},
+        passed=bool(worst_fd <= 1e-3 and worst_exact <= 1e-6),
+    )
 
 
 def _check_decay(p, cfg):
     out = decay_supremum(p, 0, 0, 2, T0=1.0, x_grid=(5.0, 10.0, 20.0), config=cfg)
-    return {
-        "name": "decay",
-        "grid": "x in {5, 10, 20}, t in [1e-3, 1]",
-        "measured": out,
-        "thresholds": {"decreasing": True, "finite": True},
-        "passed": bool(out["decreasing"] and out["finite"]),
-    }
+    return VerificationReport(
+        name="decay",
+        grid="x in {5, 10, 20}, t in [1e-3, 1]",
+        measured=out,
+        thresholds={"decreasing": True, "finite": True},
+        passed=bool(out["decreasing"] and out["finite"]),
+    )
 
 
 def _check_energy(p, cfg):
@@ -271,13 +259,13 @@ def _check_energy(p, cfg):
     )
     tr = energy_trace(field, q.pde, T=0.8, n_t=2, t_start=0.3, slope_field=slope)
     rel = tr.max_relative_residual()
-    return {
-        "name": "energy",
-        "grid": f"t in {list(tr.t_grid)} ({note})",
-        "measured": {"max_relative_residual": rel, "monotone": tr.monotone},
-        "thresholds": {"max_relative_residual": 1e-3, "monotone": True},
-        "passed": bool(rel <= 1e-3 and tr.monotone),
-    }
+    return VerificationReport(
+        name="energy",
+        grid=f"t in {list(tr.t_grid)} ({note})",
+        measured={"max_relative_residual": rel, "monotone": tr.monotone},
+        thresholds={"max_relative_residual": 1e-3, "monotone": True},
+        passed=bool(rel <= 1e-3 and tr.monotone),
+    )
 
 
 def _check_oracle(p, cfg):
@@ -297,18 +285,18 @@ def _check_oracle(p, cfg):
         )
         threshold = 1e-2
         grid = f"{len(pts)} points vs finite-difference oracle"
-    return {
-        "name": "oracle",
-        "grid": grid,
-        "measured": {"worst_discrepancy": worst},
-        "thresholds": {"worst_discrepancy": threshold},
-        "passed": bool(worst <= threshold),
-    }
+    return VerificationReport(
+        name="oracle",
+        grid=grid,
+        measured={"worst_discrepancy": worst},
+        thresholds={"worst_discrepancy": threshold},
+        passed=bool(worst <= threshold),
+    )
 
 
 _CHECKS = {
     "residual": _check_residual,
-    "recovery": _check_recovery,
+    "recovery": lambda p, cfg: boundary_recovery(p, config=cfg),
     "decay": _check_decay,
     "energy": _check_energy,
     "oracle": _check_oracle,
@@ -335,15 +323,14 @@ def verify_cmd(pde, problem_path, checks, out_path, tol):
         raise click.UsageError(
             f"unknown checks {unknown}; available: {sorted(_CHECKS)}"
         )
-    reports = []
-    for name in names:
-        reports.append(_CHECKS[name](p, cfg))
-    all_passed = all(r["passed"] for r in reports)
-    payload = {"checks": reports, "all_passed": all_passed, "problem": p.to_dict()}
+    reports = [_CHECKS[name](p, cfg) for name in names]
+    all_passed = all(r.passed for r in reports)
     if out_path:
-        _write_json(out_path, payload)
+        checks = [dataclasses.asdict(r) for r in reports]
+        _write_json(out_path, {"checks": checks, "all_passed": all_passed,
+                               "problem": p.to_dict()})
     for r in reports:
-        click.echo(f"{r['name']}: {'PASS' if r['passed'] else 'FAIL'}")
+        click.echo(f"{r.name}: {'PASS' if r.passed else 'FAIL'}")
     sys.exit(0 if all_passed else 1)
 
 
@@ -364,12 +351,7 @@ def counterexample_cmd(pde, order, grid_spec, out_path, report_path):
     )
     xs, ts = _parse_grid(grid_spec)
     if out_path:
-        rows = ["x,t,u"]
-        for x in xs:
-            for t in ts:
-                rows.append(",".join([_fmt(x), _fmt(t), _fmt(field(x, t))]))
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+        _write_csv(out_path, "x,t,u", [(x, t, field(x, t)) for x in xs for t in ts])
         click.echo(f"wrote {len(xs) * len(ts)} samples to {out_path}")
     rep = hypothesis_violation_report(field, T=0.5)
     payload = {
@@ -401,7 +383,8 @@ def reduce_cmd(mode, a_coef, b_coef, c_coef, report_path):
             rep = oblique_phi_check(a_coef, b_coef, c_coef)
     except UtmqpError as exc:
         raise click.UsageError(str(exc)) from exc
-    payload = {"mode": mode, "A": a_coef, "B": b_coef, "C": c_coef, **rep.to_dict()}
+    payload = {"mode": mode, "A": a_coef, "B": b_coef, "C": c_coef,
+               **dataclasses.asdict(rep)}
     if report_path:
         _write_json(report_path, payload)
     click.echo(f"{mode}: branch={rep.branch} max|phi|={rep.max_abs_phi:.3e} "

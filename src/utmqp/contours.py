@@ -7,7 +7,10 @@ a segment with orientation -1 is traversed against it (used for the
 inbound halves of wedge contours, which run from infinity down to the
 corner).
 
-The factories below build the handful of contours the solvers need:
+Every contour the solvers integrate over is built at its final angles;
+there is no deformation API.  ``ray_pair(left, right, anchor)`` builds a
+ray at argument ``left`` inbound to ``anchor`` followed by a ray at
+``right`` outbound, which is the shape of every contour below:
 
 * ``kdv_contour``       -- wedge boundary, rays at arguments pi/3 and 2pi/3
 * ``heat_contour``      -- wedge boundary, rays at arguments pi/4 and 3pi/4
@@ -16,10 +19,8 @@ The factories below build the handful of contours the solvers need:
 
 Both wedges are oriented as the boundary of the sector above them with the
 sector kept on the left: the left ray runs inbound from infinity to the
-corner, the right ray runs outbound.  ``rotate_rays`` tilts infinite rays
-toward the real axis; that deformation is Cauchy-invariant whenever the
-integrand is analytic and decaying in the swept sectors, and it converts
-purely oscillatory time factors into exponentially decaying ones.
+corner, the right ray runs outbound.  A wedge tilted toward the real axis
+(as the solvers integrate it) is ``ray_pair`` at the tilted angles.
 """
 
 from __future__ import annotations
@@ -27,41 +28,27 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDeformationError, InvalidParameterError
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
 class Ray:
-    """Infinite ray lambda(s) = start + s*exp(i*angle), s >= 0.
-
-    ``tilt`` accumulates rotations toward the real axis (see
-    ``rotate_rays``); keeping it separate from ``angle`` makes a rotation
-    followed by its inverse reproduce the original object exactly.
-    """
+    """Infinite ray lambda(s) = start + s*exp(i*angle), s >= 0."""
 
     start: complex
     angle: float
     orientation: int = 1
-    tilt: float = 0.0
 
     kind = "ray"
     finite = False
 
     @property
-    def effective_angle(self) -> float:
-        # rays in the right half of the upper half-plane tilt clockwise,
-        # rays in the left half tilt counterclockwise
-        if self.angle <= 0.5 * math.pi:
-            return self.angle - self.tilt
-        return self.angle + self.tilt
-
-    @property
     def direction(self) -> complex:
-        return cmath.exp(1j * self.effective_angle)
+        return cmath.exp(1j * self.angle)
 
     def point(self, s):
         return self.start + np.asarray(s) * self.direction
@@ -141,7 +128,7 @@ class Contour:
                     {
                         "kind": "ray",
                         "start": [seg.start.real, seg.start.imag],
-                        "angle": seg.effective_angle,
+                        "angle": seg.angle,
                         "orientation": seg.orientation,
                     }
                 )
@@ -171,6 +158,12 @@ class Contour:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+def ray_pair(left: float, right: float, anchor: complex = 0j) -> Contour:
+    """The ray at argument ``left`` inbound to ``anchor``, then the ray at
+    argument ``right`` outbound from it."""
+    return Contour((Ray(anchor, left, orientation=-1), Ray(anchor, right)))
+
+
 def kdv_contour() -> Contour:
     """Boundary of the sector pi/3 <= arg(lambda) <= 2pi/3.
 
@@ -178,71 +171,23 @@ def kdv_contour() -> Contour:
     dispersion exponent is purely oscillatory.  Left ray inbound to the
     origin, right ray outbound, sector on the left.
     """
-    return Contour(
-        (
-            Ray(0j, 2.0 * math.pi / 3.0, orientation=-1),
-            Ray(0j, math.pi / 3.0, orientation=+1),
-        )
-    )
+    return ray_pair(2.0 * math.pi / 3.0, math.pi / 3.0)
 
 
 def heat_contour() -> Contour:
     """Boundary of the sector pi/4 <= arg(lambda) <= 3pi/4 (Re lambda^2 <= 0
     in the upper half-plane).  Same orientation convention as the cubic
     wedge."""
-    return Contour(
-        (
-            Ray(0j, 3.0 * math.pi / 4.0, orientation=-1),
-            Ray(0j, math.pi / 4.0, orientation=+1),
-        )
-    )
+    return ray_pair(3.0 * math.pi / 4.0, math.pi / 4.0)
 
 
 def indented_line(eps: float) -> Contour:
     """Horizontal line Im(lambda) = eps traversed left to right."""
     if eps <= 0:
         raise InvalidParameterError("indented_line requires eps > 0")
-    anchor = 1j * eps
-    return Contour(
-        (
-            Ray(anchor, math.pi, orientation=-1),
-            Ray(anchor, 0.0, orientation=+1),
-        )
-    )
+    return ray_pair(math.pi, 0.0, 1j * eps)
 
 
 def real_line() -> Contour:
     """The real axis traversed left to right."""
-    return Contour(
-        (
-            Ray(0j, math.pi, orientation=-1),
-            Ray(0j, 0.0, orientation=+1),
-        )
-    )
-
-
-def rotate_rays(
-    contour: Contour,
-    delta: float,
-    sector: tuple[float, float] = (0.0, math.pi),
-) -> Contour:
-    """Tilt every infinite ray of ``contour`` by ``delta`` toward the real
-    axis (negative ``delta`` tilts away).  Finite pieces are unchanged.
-
-    ``sector`` is the caller-declared sector of validity: the rotation is
-    rejected if any tilted ray would leave the open interval of arguments.
-    """
-    lo, hi = sector
-    new_segments = []
-    for seg in contour.segments:
-        if seg.kind != "ray":
-            new_segments.append(seg)
-            continue
-        tilted = replace(seg, tilt=seg.tilt + delta)
-        if not (lo < tilted.effective_angle < hi):
-            raise InvalidDeformationError(
-                f"rotated ray argument {tilted.effective_angle:.6f} leaves "
-                f"the declared sector ({lo:.6f}, {hi:.6f})"
-            )
-        new_segments.append(tilted)
-    return Contour(tuple(new_segments))
+    return ray_pair(math.pi, 0.0)

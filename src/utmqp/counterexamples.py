@@ -7,7 +7,8 @@ a smooth nonzero field whose limits vanish both as t -> 0+ (fixed x > 0)
 and as x -> 0+ (fixed t > 0), so the homogeneous problem it solves has at
 least two solutions.  The fields violate the uniform-integrability
 hypotheses under which uniqueness holds, which is what
-``hypothesis_violation_report`` quantifies.
+``hypothesis_violation_report`` quantifies.  Fields are plain
+``(x, t) -> float`` callables.
 
 Closed forms used:
 
@@ -21,7 +22,8 @@ Closed forms used:
   eps > 0.  For n = 1 the integral collapses to an Airy evaluation,
       u1(x,t) = z Ai(z) / t,   z = x (3 t)^{-1/3},
   which is the default route (the test suite checks it against the
-  quadrature route).
+  quadrature route).  Higher n default to the height eps = max(1,
+  (3t)^{-1/3}), where the cubic phase lam^3 t is O(1).
 """
 
 from __future__ import annotations
@@ -42,19 +44,6 @@ from .quadrature import Integrand, _gauss_legendre, integrate
 from . import solvers as _solvers
 
 _SQRT_PI = math.sqrt(math.pi)
-
-
-@dataclass
-class CounterexampleField:
-    """A nonzero solution of a homogeneous quarter-plane problem."""
-
-    pde: str
-    order: int
-    evaluator: Callable  # (x, t) -> float
-    closed_form: Optional[str] = None
-
-    def __call__(self, x: float, t: float) -> float:
-        return self.evaluator(x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +82,8 @@ def heat_counterexample(n: int, x: float, t: float) -> float:
     return x / (2.0 * _SQRT_PI) * total * expfac
 
 
-def heat_counterexample_field(n: int) -> CounterexampleField:
-    return CounterexampleField(
-        pde="heat",
-        order=n,
-        evaluator=lambda x, t: heat_counterexample(n, x, t),
-        closed_form="x/(2 sqrt(pi)) d^{n-1}/dt^{n-1}[t^{-3/2} exp(-x^2/4t)]",
-    )
+def heat_counterexample_field(n: int) -> Callable[[float, float], float]:
+    return lambda x, t: heat_counterexample(n, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -138,27 +122,25 @@ def kdv_counterexample(
     """The n-th member of the cubic non-uniqueness family at (x, t).
 
     Evaluated by quadrature along the line Im lambda = eps (the value is
-    eps-independent); eps defaults to max(1, 1/(3t))-ish to keep the
-    Gaussian-in-Re(lambda) envelope well scaled.  With eps None, n = 1
-    uses the Airy closed form.
+    eps-independent); eps defaults to max(1, (3t)^{-1/3}): at small t
+    the integrand spreads to |lambda| ~ t^{-1/3}, and a line left at
+    height 1 stalls the quadrature.  With eps None, n = 1 uses the Airy
+    closed form.
     """
     if n < 1:
         raise InvalidParameterError("family order n must be >= 1")
     if eps is None:
         if n == 1:
             return kdv_counterexample_airy(x, t)
-        eps = max(1.0, 1.0 / (1.0 + 3.0 * t))
+        eps = max(1.0, (3.0 * t) ** (-1.0 / 3.0))
     val = _kdv_line_integral(n, x, t, eps, config)
     return val.real
 
 
-def kdv_counterexample_field(n: int, config: SolverConfig = DEFAULT_CONFIG):
-    return CounterexampleField(
-        pde="kdv",
-        order=n,
-        evaluator=lambda x, t: kdv_counterexample(n, x, t, config=config),
-        closed_form="z Ai(z)/t with z = x (3t)^{-1/3}" if n == 1 else None,
-    )
+def kdv_counterexample_field(
+    n: int, config: SolverConfig = DEFAULT_CONFIG
+) -> Callable[[float, float], float]:
+    return lambda x, t: kdv_counterexample(n, x, t, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +153,7 @@ def recipe_generate(
     base_boundary_step: DataProfile,
     n: int,
     config: SolverConfig = DEFAULT_CONFIG,
-) -> CounterexampleField:
+) -> Callable[[float, float], float]:
     """Non-uniqueness field from a corner-incompatible step datum.
 
     Solves the base problem (u0 = 0, f = 0, g0 = ``base_boundary_step``
@@ -199,7 +181,7 @@ def recipe_generate(
         res = _solvers._boundary_term(problem, 0, n, x, t, config)
         return sign * res.value.real / (2.0 * math.pi)
 
-    return CounterexampleField(pde=pde, order=n, evaluator=evaluator)
+    return evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +229,14 @@ def _energy_of_field(field: Callable, t: float) -> float:
 
 
 def hypothesis_violation_report(
-    field: CounterexampleField | Callable,
+    field: Callable[[float, float], float],
     T: float,
     n_t: int = 9,
     t_min: float = 1e-3,
 ) -> ViolationReport:
     """Fit log E vs log t on a log-spaced grid t in [t_min, T]."""
-    f = field.evaluator if isinstance(field, CounterexampleField) else field
     ts = np.geomspace(t_min, T, n_t)
-    energies = np.array([_energy_of_field(f, t) for t in ts])
+    energies = np.array([_energy_of_field(field, t) for t in ts])
     if np.all(energies < 1e-30):
         return ViolationReport(tuple(ts), tuple(energies), None, False)
     mask = energies > 0

@@ -9,10 +9,6 @@ class InvalidParameterError(UtmqpError, ValueError):
     """A parameter violates a documented precondition (e.g. eps <= 0)."""
 
 
-class InvalidDeformationError(UtmqpError, ValueError):
-    """A contour rotation would leave the declared analyticity sector."""
-
-
 class InvalidContourError(UtmqpError, ValueError):
     """A contour is unusable for the requested integral: the integrand is
     not finite at a point of it."""

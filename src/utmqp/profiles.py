@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -388,6 +389,12 @@ def builtin_profile(name: str, **params) -> DataProfile:
     extra = [k for k in params if k not in keys]
     if extra:
         raise InvalidParameterError(f"profile {name!r} got unknown parameters {extra}")
+    for key, value in params.items():
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise InvalidParameterError(
+                f"profile {name!r} parameter {key!r} must be a finite number, "
+                f"got {value!r}"
+            )
     return factory(**params)
 
 

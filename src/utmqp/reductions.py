@@ -45,7 +45,6 @@ class RobinSpec:
     A: float
     B: float
     C: float = 0.0
-    pde: str = "heat"
 
     def __post_init__(self):
         if self.A == 0.0 and self.B == 0.0 and self.C == 0.0:
@@ -58,14 +57,6 @@ class PhiReport:
     max_abs_phi: float
     passed: bool
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "max_abs_phi": self.max_abs_phi,
-            "passed": bool(self.passed),
-            "detail": self.detail,
-        }
 
 
 def _rk4_zero_start(rhs: Callable, y0: np.ndarray, t0: float, t1: float):
@@ -120,7 +111,7 @@ def robin_phi_check(A: float, B: float, span: float = 10.0) -> PhiReport:
     return PhiReport(
         branch="regular",
         max_abs_phi=worst,
-        passed=worst <= 1e-12,
+        passed=bool(worst <= 1e-12),
         detail=f"phi' = {coef:.6g} phi integrated from phi(0) = 0",
     )
 
@@ -152,7 +143,7 @@ def oblique_phi_check(A: float, B: float, C: float, span: float = 10.0) -> PhiRe
     return PhiReport(
         branch="regular",
         max_abs_phi=worst,
-        passed=worst <= 1e-12,
+        passed=bool(worst <= 1e-12),
         detail=f"characteristic roots {roots[0]:.6g}, {roots[1]:.6g}",
     )
 
@@ -199,14 +190,6 @@ class RobinDemoReport:
     passed: bool
     grid: str
 
-    def to_dict(self) -> dict:
-        return {
-            "max_abs_delta": self.max_abs_delta,
-            "threshold": self.threshold,
-            "passed": bool(self.passed),
-            "grid": self.grid,
-        }
-
 
 def robin_uniqueness_demo(
     p: ProblemSpec,
@@ -244,6 +227,6 @@ def robin_uniqueness_demo(
     return RobinDemoReport(
         max_abs_delta=worst,
         threshold=threshold,
-        passed=worst <= threshold,
+        passed=bool(worst <= threshold),
         grid=f"x={list(xs)}, t={list(ts)}",
     )

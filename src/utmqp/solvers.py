@@ -59,10 +59,12 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from . import contours
-from .contours import CircularArc, Contour, LineSegment, Ray, rotate_rays
+from .contours import CircularArc, Contour, LineSegment, Ray
 from .errors import (
+    AccuracyError,
     InvalidParameterError,
     OutOfDomainError,
+    TruncationError,
     UnsupportedOrderError,
 )
 from .profiles import DataProfile, ProblemSpec
@@ -243,7 +245,7 @@ def _family(wedge, height, far, rotation, subtract_on_wedge, **fields) -> _Famil
     wedge rays at radius ``far``."""
     thl, thr = (ray.angle for ray in wedge)
     return _Family(
-        rotation=rotation, rotated=rotate_rays(wedge, rotation),
+        rotation=rotation, rotated=contours.ray_pair(thl + rotation, thr - rotation),
         line_split=_line_split(thr, thl, height, far, rotation),
         wedge_split=_wedge_split(thr, thl, rotation) if subtract_on_wedge else None,
         **fields,
@@ -486,6 +488,8 @@ def _forcing_wedge_term(
 
 
 def _validate(p: ProblemSpec, k: int, m: int, x: float, t: float):
+    if not (math.isfinite(x) and math.isfinite(t)):
+        raise InvalidParameterError(f"x and t must be finite, got ({x}, {t})")
     if x <= 0 or t <= 0:
         raise InvalidParameterError(
             "the representation is defined for x > 0, t > 0; boundary values "
@@ -516,12 +520,23 @@ _TERMS = (
 )
 
 
+def _run_term(term: Callable, p, k, m, x, t, config) -> QuadratureResult:
+    """One term, its accuracy and truncation failures prefixed with the
+    term's name and the point (type and ``AccuracyError.best`` kept)."""
+    try:
+        return term(p, k, m, x, t, config)
+    except (AccuracyError, TruncationError) as exc:
+        exc.args = (f"{term.__name__} at (x, t) = ({x}, {t}): {exc}",)
+        raise
+
+
 def _raw_terms(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ):
     _validate(p, k, m, x, t)
     return tuple(
-        ZERO_RESULT if getattr(p, datum).is_zero() else term(p, k, m, x, t, config)
+        ZERO_RESULT if getattr(p, datum).is_zero()
+        else _run_term(term, p, k, m, x, t, config)
         for datum, term in _TERMS
     )
 

@@ -45,15 +45,6 @@ class VerificationReport:
     thresholds: dict
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "grid": self.grid,
-            "measured": self.measured,
-            "thresholds": self.thresholds,
-            "passed": bool(self.passed),
-        }
-
 
 @dataclass
 class EnergyTrace:
@@ -246,11 +237,9 @@ class FDSolution:
     energy_monotone: bool
 
     def __call__(self, x: float, t: float) -> float:
-        return self.interpolate(x, t)
-
-    def interpolate(self, x: float, t: float) -> float:
         # separable cubic interpolation on the tensor grid
-        return float(_tensor_interp(self.xs, self.ts, self.values, x, t))
+        col = _cubic_1d(self.xs, self.values, x)  # (len(ts),)
+        return float(_cubic_1d(self.ts, col, t))
 
 
 def _cubic_1d(xs: np.ndarray, ys: np.ndarray, x: float):
@@ -264,11 +253,6 @@ def _cubic_1d(xs: np.ndarray, ys: np.ndarray, x: float):
         ]
     )
     return ys[..., sel] @ w
-
-
-def _tensor_interp(xs, ts, values, x, t):
-    col = _cubic_1d(xs, values, x)  # (len(ts),)
-    return _cubic_1d(ts, col, t)
 
 
 # weight of the cubic scheme's fourth-difference damping (see below)

@@ -1,14 +1,17 @@
-"""The names the benchmark tracer (``bench/tracing.py``) patches or reads.
+"""The names the benchmark harness (``bench/``) patches or reads.
 
-The tracer wraps functions where the calling module binds them and labels
-quadrature calls by the solver frame on the stack, so a renamed or
-inlined function breaks a traced run.  These tests catch that without
-running the benchmark.
+The tracer (``bench/tracing.py``) wraps functions where the calling
+module binds them and labels quadrature calls by the solver frame on the
+stack, so a renamed or inlined function breaks a traced run.  The runner
+(``bench/run.py``) reads the solver configuration when it records its
+environment.  These tests catch such breaks without running a workload.
 """
 
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,11 +19,32 @@ import pytest
 from utmqp import solvers
 from utmqp.profiles import ProblemSpec, builtin_profile, separable_forcing
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-)
-tracing = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(tracing)
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name, filename):
+    spec = importlib.util.spec_from_file_location(name, _BENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("bench_tracing", "tracing.py")
+
+
+def test_bench_selftest_passes():
+    # seeds, shared-t, metric names and traced-identical values, in ~3 s
+    done = subprocess.run(
+        [sys.executable, str(_BENCH / "selftest.py")],
+        cwd=_BENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_bench_environment_resolves():
+    env = _load("bench_run", "run.py")._environment(0)
+    assert env["solve_grid_threads"] >= 1
+    assert env["src_lines"] > 0
 
 
 @pytest.mark.parametrize(

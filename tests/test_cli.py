@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from utmqp import cli
 from utmqp.cli import main
 from utmqp.solvers import _tilted_far_contour
+from utmqp.verification import VerificationReport
 
 HEAT_PROBLEM = {
     "pde": "heat",
@@ -59,6 +60,17 @@ class TestSolveCommand:
              "--out", str(tmp_path / "f.csv")],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("grid", ["nan:1:2,0.1:1:2", "0.1:inf:2,0.1:1:2"])
+    def test_grid_must_be_finite(self, runner, tmp_path, grid):
+        problem = write_problem(tmp_path, HEAT_PROBLEM)
+        result = runner.invoke(
+            main,
+            ["solve", "--problem", problem, "--grid", grid,
+             "--out", str(tmp_path / "f.csv")],
+        )
+        assert result.exit_code == 2
+        assert "finite" in result.output
 
     def test_pde_flag_must_match(self, runner, tmp_path):
         problem = write_problem(tmp_path, HEAT_PROBLEM)
@@ -241,10 +253,7 @@ class TestEnvironmentAndExitCodes:
         monkeypatch.setitem(
             cli_mod._CHECKS,
             "residual",
-            lambda p, cfg: {
-                "name": "residual", "grid": "", "measured": {},
-                "thresholds": {}, "passed": False,
-            },
+            lambda p, cfg: VerificationReport("residual", "", {}, {}, False),
         )
         result = runner.invoke(
             main, ["verify", "--problem", problem, "--checks", "residual"]

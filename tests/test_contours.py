@@ -13,9 +13,9 @@ from utmqp.contours import (
     indented_line,
     kdv_contour,
     real_line,
-    rotate_rays,
 )
-from utmqp.errors import InvalidDeformationError, InvalidParameterError
+from utmqp.errors import InvalidParameterError
+from utmqp.solvers import _FAMILIES
 
 SQRT3 = math.sqrt(3.0)
 
@@ -118,29 +118,24 @@ class TestIndentedLine:
             indented_line(0.0)
 
 
-class TestRotateRays:
-    def test_zero_rotation_is_identity(self):
-        c = heat_contour()
-        assert rotate_rays(c, 0.0) == c
+class TestRotatedWedges:
+    """The wedges the solver integrates on, tilted toward the real axis by
+    pi/8 (heat) and pi/12 (kdv), hold the exact floats of the old
+    angle-plus-tilt construction."""
+
+    @staticmethod
+    def rays(pde):
+        return [(seg.start, seg.angle, seg.orientation) for seg in _FAMILIES[pde].rotated]
 
     def test_heat_wedge_tilts_toward_real_axis(self):
-        rotated = rotate_rays(heat_contour(), math.pi / 8)
-        angles = sorted(seg.effective_angle for seg in rotated)
-        assert angles == pytest.approx([math.pi / 8, 7 * math.pi / 8])
+        assert self.rays("heat") == [
+            (0j, 2.748893571891069, -1), (0j, 0.39269908169872414, 1)
+        ]
 
-    def test_round_trip_is_exact(self):
-        c = kdv_contour()
-        for delta in (0.1, math.pi / 16, 0.2531):
-            assert rotate_rays(rotate_rays(c, delta), -delta) == c
-
-    def test_leaving_the_sector_is_rejected(self):
-        with pytest.raises(InvalidDeformationError):
-            rotate_rays(heat_contour(), math.pi / 3)
-
-    def test_finite_pieces_unchanged(self):
-        c = deformed_heat_contour()
-        rotated = rotate_rays(c, math.pi / 16)
-        assert rotated.segments[1] == c.segments[1]
+    def test_kdv_wedge_tilts_toward_real_axis(self):
+        assert self.rays("kdv") == [
+            (0j, 2.356194490192345, -1), (0j, 0.7853981633974483, 1)
+        ]
 
 
 class TestSerialization:

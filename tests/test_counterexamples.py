@@ -5,7 +5,6 @@ import pytest
 from scipy.special import erfc
 
 from utmqp.counterexamples import (
-    CounterexampleField,
     heat_counterexample,
     heat_counterexample_field,
     hypothesis_violation_report,
@@ -137,6 +136,20 @@ class TestKdvFamily:
         ) / (2 * h)
         assert kdv_counterexample(2, 1.0, 1.0, eps=1.0) == pytest.approx(fd, abs=1e-6)
 
+    @pytest.mark.parametrize("x", [1e-3, 0.05, 1.0])
+    def test_second_member_default_height_at_small_t(self, x):
+        # at small t the integrand spreads to |lambda| ~ t^{-1/3}; the
+        # default line height must follow it for the quadrature to settle
+        t, h = 1e-3, 1e-6
+        got = kdv_counterexample(2, x, t)
+        assert got == pytest.approx(
+            kdv_counterexample(2, x, t, eps=t ** (-1.0 / 3.0)), abs=1e-9
+        )
+        fd = (kdv_counterexample_airy(x, t + h) - kdv_counterexample_airy(x, t - h)) / (
+            2 * h
+        )
+        assert got == pytest.approx(fd, rel=1e-5)
+
 
 class TestRecipe:
     def test_heat_step_reproduces_family(self):
@@ -194,8 +207,7 @@ class TestViolationReport:
         assert rep.exponent == pytest.approx(-1.5, abs=0.05)
 
     def test_zero_field(self):
-        zero = CounterexampleField("heat", 1, lambda x, t: 0.0)
-        rep = hypothesis_violation_report(zero, T=0.5)
+        rep = hypothesis_violation_report(lambda x, t: 0.0, T=0.5)
         assert not rep.violated
         assert rep.summary() == "no violation detected"
 

@@ -69,6 +69,12 @@ class TestBuiltins:
         with pytest.raises(InvalidParameterError):
             builtin_profile("bump", a=3.0, b=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "1", None])
+    def test_non_finite_parameter_is_named(self, value):
+        # JSON problem files can carry NaN, Infinity, strings and null
+        with pytest.raises(InvalidParameterError, match="parameter 'a' must be a finite"):
+            builtin_profile("exp_decay", a=value)
+
     def test_missing_and_extra_parameters(self):
         with pytest.raises(InvalidParameterError):
             builtin_profile("exp_decay")

@@ -11,8 +11,8 @@ from utmqp.contours import (
     Ray,
     heat_contour,
     indented_line,
+    ray_pair,
     real_line,
-    rotate_rays,
 )
 from utmqp.errors import AccuracyError, InvalidContourError, TruncationError
 from utmqp.quadrature import (
@@ -96,7 +96,8 @@ class TestInvariances:
         )
         base = integrate(g, heat_contour(), TOL)
         for delta in (math.pi / 32, math.pi / 16):
-            tilted = integrate(g, rotate_rays(heat_contour(), delta), TOL)
+            tilted_wedge = ray_pair(3 * math.pi / 4 + delta, math.pi / 4 - delta)
+            tilted = integrate(g, tilted_wedge, TOL)
             assert abs(tilted.value - base.value) <= 10 * TOL
 
     def test_indented_line_height_independence(self):

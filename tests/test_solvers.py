@@ -7,8 +7,10 @@ from scipy.special import airy, erfc
 
 from utmqp.config import DEFAULT_CONFIG, SolverConfig
 from utmqp.errors import (
+    AccuracyError,
     InvalidParameterError,
     OutOfDomainError,
+    TruncationError,
     UnsupportedOrderError,
 )
 from utmqp.profiles import (
@@ -461,6 +463,31 @@ class TestValidation:
             solve(p, 0.0, 1.0)
         with pytest.raises(InvalidParameterError):
             solve(p, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "x,t", [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.inf), (1.0, math.nan)]
+    )
+    def test_non_finite_points_are_rejected(self, x, t):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            solve(exp_decay_problem("heat"), x, t)
+
+    def test_truncation_error_names_term_and_point(self):
+        with pytest.raises(TruncationError) as info:
+            solve(exp_decay_problem("heat"), 1e-4, 0.5)
+        assert "_boundary_term" in str(info.value)
+        assert "0.0001" in str(info.value)
+
+    def test_accuracy_error_keeps_its_best_estimate(self, monkeypatch):
+        best = object()
+
+        def exhausted(*args, **kwargs):
+            raise AccuracyError("subdivision budget exhausted", best=best)
+
+        monkeypatch.setattr(solvers, "integrate", exhausted)
+        with pytest.raises(AccuracyError) as info:
+            solve(exp_decay_problem("kdv"), 1.0, 0.5)
+        assert info.value.best is best
+        assert str(info.value).startswith("_initial_real_term at (x, t) = (1.0, 0.5)")
 
 
 class TestGridSweep:
