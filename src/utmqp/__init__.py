@@ -23,7 +23,6 @@ from .profiles import (
     builtin_forcing,
     builtin_profile,
     check_compatibility,
-    combine_profiles,
     load_problem,
     problem_from_dict,
     separable_forcing,
@@ -37,7 +36,6 @@ from .solvers import (
     solve_grid,
 )
 from .transforms import (
-    forcing_tail_expansion,
     grouped_time_transform,
     half_line_fourier,
     tail_expansion,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import sys
 
 import click
@@ -90,18 +89,6 @@ def _load_problem(path: str) -> ProblemSpec:
         raise click.UsageError(f"bad problem spec in {path}: {exc}") from exc
 
 
-def _threads(value):
-    if value is not None:
-        return value
-    env = os.environ.get("UTM_QP_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise click.UsageError("UTM_QP_THREADS must be an integer")
-    return None
-
-
 def _config(**flags) -> SolverConfig:
     """DEFAULT_CONFIG with the flags that were passed (not None)."""
     given = {name: value for name, value in flags.items() if value is not None}
@@ -153,7 +140,6 @@ def dump_transform(problem_path, lam_grid, out_path):
 
 
 @main.command("solve")
-@click.option("--pde", type=click.Choice(["heat", "kdv"]), required=False)
 @click.option("--problem", "problem_path", required=True, type=click.Path())
 @click.option("--grid", "grid_spec", required=True, help="x0:x1:nx,t0:t1:nt")
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -162,16 +148,12 @@ def dump_transform(problem_path, lam_grid, out_path):
 @click.option("--max-panels", type=int, default=None,
               help=f"adaptive panel budget [default {DEFAULT_CONFIG.max_panels}]")
 @click.option("--threads", type=int, default=None)
-def solve_cmd(pde, problem_path, grid_spec, out_path, tol, max_panels, threads):
+def solve_cmd(problem_path, grid_spec, out_path, tol, max_panels, threads):
     """Evaluate the solution field on a grid and write CSV."""
     p = _load_problem(problem_path)
-    if pde is not None and pde != p.pde:
-        raise click.UsageError(
-            f"--pde {pde} contradicts the problem file ({p.pde})"
-        )
     xs, ts = _parse_grid(grid_spec)
     cfg = _config(tol=tol, max_panels=max_panels)
-    samples = solve_grid(p, xs, ts, config=cfg, threads=_threads(threads))
+    samples = solve_grid(p, xs, ts, config=cfg, threads=threads)
     _write_csv(out_path, "x,t,U,err,term1,term2,term3,term4,term5", [
         (s.x, s.t, s.value, s.error_estimate, *(abs(v) for v in s.term_breakdown))
         for s in samples
@@ -198,7 +180,7 @@ def sweep_cmd(problem_path, grid_spec, orders, out_path, tol, threads):
         raise click.UsageError("orders must look like '0,0;1,0;0,1'") from exc
     columns = {}
     for k, m in pairs:
-        samples = solve_grid(p, xs, ts, k=k, m=m, config=cfg, threads=_threads(threads))
+        samples = solve_grid(p, xs, ts, k=k, m=m, config=cfg, threads=threads)
         columns[(k, m)] = samples
     n = len(xs) * len(ts)
     base = columns[pairs[0]]
@@ -304,18 +286,13 @@ _CHECKS = {
 
 
 @main.command("verify")
-@click.option("--pde", type=click.Choice(["heat", "kdv"]), required=False)
 @click.option("--problem", "problem_path", required=True, type=click.Path())
 @click.option("--checks", default="residual,recovery,oracle", show_default=True)
 @click.option("--out", "out_path", default=None, type=click.Path())
 @click.option("--tol", type=float, default=None)
-def verify_cmd(pde, problem_path, checks, out_path, tol):
+def verify_cmd(problem_path, checks, out_path, tol):
     """Run verification checks and report pass/fail per check."""
     p = _load_problem(problem_path)
-    if pde is not None and pde != p.pde:
-        raise click.UsageError(
-            f"--pde {pde} contradicts the problem file ({p.pde})"
-        )
     cfg = _config(tol=tol)
     names = [c.strip() for c in checks.split(",") if c.strip()]
     unknown = [c for c in names if c not in _CHECKS]
@@ -353,7 +330,7 @@ def counterexample_cmd(pde, order, grid_spec, out_path, report_path):
     if out_path:
         _write_csv(out_path, "x,t,u", [(x, t, field(x, t)) for x in xs for t in ts])
         click.echo(f"wrote {len(xs) * len(ts)} samples to {out_path}")
-    rep = hypothesis_violation_report(field, T=0.5)
+    rep = hypothesis_violation_report(field)
     payload = {
         "pde": pde,
         "order": order,

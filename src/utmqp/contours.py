@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,41 +117,16 @@ class Contour:
     def __iter__(self):
         return iter(self.segments)
 
-    def __len__(self):
-        return len(self.segments)
-
     def to_dict(self) -> dict:
+        """Each segment as ``kind`` then its dataclass fields in order,
+        complex values as ``[re, im]``."""
         out = []
         for seg in self.segments:
-            if seg.kind == "ray":
-                out.append(
-                    {
-                        "kind": "ray",
-                        "start": [seg.start.real, seg.start.imag],
-                        "angle": seg.angle,
-                        "orientation": seg.orientation,
-                    }
-                )
-            elif seg.kind == "segment":
-                out.append(
-                    {
-                        "kind": "segment",
-                        "start": [seg.start.real, seg.start.imag],
-                        "end": [seg.end.real, seg.end.imag],
-                        "orientation": seg.orientation,
-                    }
-                )
-            else:
-                out.append(
-                    {
-                        "kind": "arc",
-                        "center": [seg.center.real, seg.center.imag],
-                        "radius": seg.radius,
-                        "angle_start": seg.angle_start,
-                        "angle_end": seg.angle_end,
-                        "orientation": seg.orientation,
-                    }
-                )
+            entry = {"kind": seg.kind}
+            for f in fields(seg):
+                value = getattr(seg, f.name)
+                entry[f.name] = [value.real, value.imag] if f.type == "complex" else value
+            out.append(entry)
         return {"segments": out}
 
     def to_json(self, indent: int | None = None) -> str:

@@ -7,8 +7,10 @@ a smooth nonzero field whose limits vanish both as t -> 0+ (fixed x > 0)
 and as x -> 0+ (fixed t > 0), so the homogeneous problem it solves has at
 least two solutions.  The fields violate the uniform-integrability
 hypotheses under which uniqueness holds, which is what
-``hypothesis_violation_report`` quantifies.  Fields are plain
-``(x, t) -> float`` callables.
+``hypothesis_violation_report`` quantifies: it fits the growth of the
+energy on one fixed log-spaced grid t in [1e-3, 0.5].  Fields are plain
+``(x, t) -> float`` callables; those that need quadrature evaluate it
+at the default solver configuration.
 
 Closed forms used:
 
@@ -36,7 +38,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import airy
 
-from .config import DEFAULT_CONFIG, SolverConfig
+from .config import DEFAULT_CONFIG
 from .contours import indented_line
 from .errors import InvalidParameterError, RecipeDegenerateError
 from .profiles import DataProfile, ProblemSpec, zero_forcing, builtin_profile
@@ -91,7 +93,7 @@ def heat_counterexample_field(n: int) -> Callable[[float, float], float]:
 # ---------------------------------------------------------------------------
 
 
-def _kdv_line_integral(n: int, x: float, t: float, eps: float, config: SolverConfig):
+def _kdv_line_integral(n: int, x: float, t: float, eps: float):
     def evaluator(lam):
         lam = np.asarray(lam, dtype=complex)
         w3 = 1j * lam**3
@@ -102,7 +104,7 @@ def _kdv_line_integral(n: int, x: float, t: float, eps: float, config: SolverCon
         return x + 3.0 * t * np.abs(lam) ** 2
 
     g = Integrand(evaluator, phase_density=density)
-    res = integrate(g, indented_line(eps), config.tol, config)
+    res = integrate(g, indented_line(eps))
     return -(3.0 / (2.0 * math.pi)) * res.value
 
 
@@ -112,13 +114,7 @@ def kdv_counterexample_airy(x: float, t: float) -> float:
     return z * float(airy(z)[0]) / t
 
 
-def kdv_counterexample(
-    n: int,
-    x: float,
-    t: float,
-    eps: float | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> float:
+def kdv_counterexample(n: int, x: float, t: float, eps: float | None = None) -> float:
     """The n-th member of the cubic non-uniqueness family at (x, t).
 
     Evaluated by quadrature along the line Im lambda = eps (the value is
@@ -133,14 +129,11 @@ def kdv_counterexample(
         if n == 1:
             return kdv_counterexample_airy(x, t)
         eps = max(1.0, (3.0 * t) ** (-1.0 / 3.0))
-    val = _kdv_line_integral(n, x, t, eps, config)
-    return val.real
+    return _kdv_line_integral(n, x, t, eps).real
 
 
-def kdv_counterexample_field(
-    n: int, config: SolverConfig = DEFAULT_CONFIG
-) -> Callable[[float, float], float]:
-    return lambda x, t: kdv_counterexample(n, x, t, config=config)
+def kdv_counterexample_field(n: int) -> Callable[[float, float], float]:
+    return lambda x, t: kdv_counterexample(n, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +142,7 @@ def kdv_counterexample_field(
 
 
 def recipe_generate(
-    pde: str,
-    base_boundary_step: DataProfile,
-    n: int,
-    config: SolverConfig = DEFAULT_CONFIG,
+    pde: str, base_boundary_step: DataProfile, n: int
 ) -> Callable[[float, float], float]:
     """Non-uniqueness field from a corner-incompatible step datum.
 
@@ -178,7 +168,7 @@ def recipe_generate(
     sign = -1.0  # the boundary term enters the solution with a minus sign
 
     def evaluator(x: float, t: float) -> float:
-        res = _solvers._boundary_term(problem, 0, n, x, t, config)
+        res = _solvers._boundary_term(problem, 0, n, x, t, DEFAULT_CONFIG)
         return sign * res.value.real / (2.0 * math.pi)
 
     return evaluator
@@ -228,14 +218,15 @@ def _energy_of_field(field: Callable, t: float) -> float:
     return total
 
 
+# the log-spaced t-grid of the small-t energy fit
+_VIOLATION_T_MIN, _VIOLATION_T, _VIOLATION_N_T = 1e-3, 0.5, 9
+
+
 def hypothesis_violation_report(
     field: Callable[[float, float], float],
-    T: float,
-    n_t: int = 9,
-    t_min: float = 1e-3,
 ) -> ViolationReport:
-    """Fit log E vs log t on a log-spaced grid t in [t_min, T]."""
-    ts = np.geomspace(t_min, T, n_t)
+    """Fit log E vs log t on nine log-spaced times t in [1e-3, 0.5]."""
+    ts = np.geomspace(_VIOLATION_T_MIN, _VIOLATION_T, _VIOLATION_N_T)
     energies = np.array([_energy_of_field(field, t) for t in ts])
     if np.all(energies < 1e-30):
         return ViolationReport(tuple(ts), tuple(energies), None, False)

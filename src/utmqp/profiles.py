@@ -17,8 +17,8 @@ datum g0(t).  Optional capability hooks:
 
 A forcing is separable, f(x, t) = xp(x) tp(t), and a
 :class:`ForcingProfile` is nothing but its factor pair ``factors = (xp,
-tp)`` of DataProfiles: its values, x-derivatives and spec, and every
-forcing transform, derive from the two factors' own hooks.
+tp)`` of DataProfiles: its values and spec, and every forcing
+transform, derive from the two factors' own hooks.
 """
 
 from __future__ import annotations
@@ -95,10 +95,6 @@ class ForcingProfile:
     def __call__(self, x, t):
         xp, tp = self.factors
         return xp(x) * tp(t)
-
-    def x_derivative(self, order: int, x, t):
-        xp, tp = self.factors
-        return xp.derivative(order, x) * tp(t)
 
     def is_zero(self) -> bool:
         return any(p.is_zero() for p in self.factors)
@@ -396,40 +392,6 @@ def builtin_profile(name: str, **params) -> DataProfile:
                 f"got {value!r}"
             )
     return factory(**params)
-
-
-def combine_profiles(ca: float, pa: DataProfile, cb: float, pb: DataProfile) -> DataProfile:
-    """Linear combination ca*pa + cb*pb (for superposition tests)."""
-
-    def maybe(fa, fb, combine):
-        if fa is None or fb is None:
-            return None
-        return combine
-
-    transform = maybe(
-        pa.transform,
-        pb.transform,
-        lambda lam: ca * pa.transform(lam) + cb * pb.transform(lam),
-    )
-    grouped = maybe(
-        pa.grouped_time_transform,
-        pb.grouped_time_transform,
-        lambda w, t: ca * pa.grouped_time_transform(w, t)
-        + cb * pb.grouped_time_transform(w, t),
-    )
-    decay = SCHWARTZ
-    if SMOOTH_BOUNDED in (pa.decay_class, pb.decay_class):
-        decay = SMOOTH_BOUNDED
-    return DataProfile(
-        name=f"combo({pa.name},{pb.name})",
-        evaluator=lambda x: ca * pa(x) + cb * pb(x),
-        derivative_evaluator=lambda k, x: ca * pa.derivative(k, x)
-        + cb * pb.derivative(k, x),
-        decay_class=decay,
-        transform=transform,
-        grouped_time_transform=grouped,
-        params={},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -224,13 +224,16 @@ def ray_truncation(
     )
 
 
-def power_law_envelope(
-    g: Integrand, ray: Ray, probes: Sequence[float] = (4.0, 8.0, 16.0, 32.0)
-) -> Optional[Callable[[float], float]]:
+# probe radii of power_law_envelope's fit
+_ENVELOPE_PROBES = (4.0, 8.0, 16.0, 32.0)
+
+
+def power_law_envelope(g: Integrand, ray: Ray) -> Optional[Callable[[float], float]]:
     """Calibrate a C*s^-p envelope for an algebraically decaying tail by
-    probing |g| along the ray; the fitted bound is inflated by 2x.  It is
-    infinite inside the first probe radius, where the fit says nothing: a
-    fast-decaying tail can sit at the roundoff floor at every probe.
+    probing |g| along the ray at ``_ENVELOPE_PROBES``; the fitted bound is
+    inflated by 2x.  It is infinite inside the first probe radius, where
+    the fit says nothing: a fast-decaying tail can sit at the roundoff
+    floor at every probe.
 
     Returns None when no usable power law emerges (p <= 1.05, or decay
     faster than the probes can pin down); callers then fall back to the
@@ -241,7 +244,7 @@ def power_law_envelope(
         s = np.array([r, r * 1.037, r * 1.113])
         return float(np.max(np.abs(g(ray.point(s)))))
 
-    rs = np.asarray(probes, dtype=float)
+    rs = np.asarray(_ENVELOPE_PROBES, dtype=float)
     vals = np.array([probe(r) for r in rs])
     first = rs[0]
     if np.all(vals == 0.0):

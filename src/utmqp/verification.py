@@ -12,7 +12,9 @@ Everything here is deliberately decoupled from the contour machinery:
   dissipation identity that underpins uniqueness.
 
 Reports are plain dataclasses: measured magnitudes, thresholds, and a
-pass flag that is a pure function of the two.
+pass flag that is a pure function of the two.  The recovery probes and
+threshold and the energy identity's finite-difference steps are module
+constants of the checks, not arguments.
 """
 
 from __future__ import annotations
@@ -383,18 +385,23 @@ def kdv_fd_oracle(
 # ---------------------------------------------------------------------------
 
 
+# the shrinking x (or t) probes of boundary_recovery, and the final error
+# the last probe must reach
+_RECOVERY_PROBES = (1e-1, 1e-2, 1e-3)
+_RECOVERY_THRESHOLD = 1e-2
+
+
 def boundary_recovery(
     p: ProblemSpec,
-    probes: Sequence[float] = (1e-1, 1e-2, 1e-3),
     t_points: Sequence[float] = (0.5, 1.0),
     x_points: Sequence[float] = (0.5, 1.0, 2.0),
     config: SolverConfig = DEFAULT_CONFIG,
-    threshold: float = 1e-2,
 ) -> VerificationReport:
     """Check the two limit clauses of the problem statement:
     U(x,t) -> g0(t) as x -> 0+, and U(x,t) -> u0(x) as t -> 0+,
-    with monotone improvement along the probe sequence."""
-    probes = sorted(probes, reverse=True)
+    with monotone improvement along the probe sequence
+    ``_RECOVERY_PROBES`` and a final error within ``_RECOVERY_THRESHOLD``."""
+    probes, threshold = _RECOVERY_PROBES, _RECOVERY_THRESHOLD
     boundary_errs = []
     for t in t_points:
         errs = [
@@ -474,13 +481,18 @@ def decay_supremum(
 # ---------------------------------------------------------------------------
 
 
-def _auto_upper_limit(field: Callable, t: float, start: float = 4.0) -> float:
-    upper = start
+def _auto_upper_limit(field: Callable, t: float) -> float:
+    upper = 4.0
     while upper < 512.0:
         if abs(field(upper, t)) ** 2 * upper < 1e-10:
             return upper
         upper *= 2.0
     return upper
+
+
+# finite-difference steps of energy_trace in t and in x
+_ENERGY_DT = 1e-3
+_ENERGY_DX = 1e-3
 
 
 def energy_trace(
@@ -490,8 +502,6 @@ def energy_trace(
     L: float | None = None,
     n_t: int = 5,
     t_start: float = 0.2,
-    dt: float = 1e-3,
-    dx: float = 1e-3,
     slope_field: Optional[Callable] = None,
 ) -> EnergyTrace:
     """Energy E(t) = int_0^L field^2 dx and the dissipation identity.
@@ -499,11 +509,12 @@ def energy_trace(
     cubic: dE/dt = -[W_x(0, t)]^2    heat: dE/dt = -2 int_0^L W_x^2 dx
 
     ``field`` must come from a homogeneous-Dirichlet, zero-forcing
-    problem.  dE/dt is a centered difference with step ``dt``; the
-    boundary slope uses a one-sided 4-point stencil with step ``dx``;
-    W_x inside the domain uses ``slope_field`` when given (exact solver
-    derivative), else a centered stencil.
+    problem.  dE/dt is a centered difference with step ``_ENERGY_DT``;
+    the boundary slope uses a one-sided 4-point stencil with step
+    ``_ENERGY_DX``; W_x inside the domain uses ``slope_field`` when given
+    (exact solver derivative), else a centered stencil of that step.
     """
+    dt, dx = _ENERGY_DT, _ENERGY_DX
     ts = np.linspace(t_start, T, n_t)
     if L is None:
         L = _auto_upper_limit(field, ts[-1])

@@ -174,11 +174,9 @@ def test_criterion_05_boundary_and_initial_recovery():
     details = []
     ok = True
     for p in (heat_problem(), kdv_problem()):
-        rep = boundary_recovery(
-            p, probes=(1e-1, 1e-2, 1e-3), t_points=(0.5, 1.0),
-            x_points=(0.5, 1.0, 2.0), threshold=1e-2,
-        )
-        ok = ok and rep.passed
+        rep = boundary_recovery(p, t_points=(0.5, 1.0), x_points=(0.5, 1.0, 2.0))
+        ok = (ok and rep.passed and rep.thresholds == {"final_error": 1e-2}
+              and rep.grid.startswith("probes=[0.1, 0.01, 0.001]"))
         details.append(
             f"{p.pde}: boundary {rep.measured['boundary_final_error']:.2e}, "
             f"initial {rep.measured['initial_final_error']:.2e}, "
@@ -285,8 +283,9 @@ def test_criterion_09_hypothesis_violation_exponent():
         np.trapezoid(np.array([heat_counterexample(1, x, t0) for x in xs]) ** 2, xs)
     )
     law_ok = abs(brute - analytic * t0**-1.5) <= 1e-6 * analytic * t0**-1.5
-    rep = hypothesis_violation_report(heat_counterexample_field(1), T=0.5)
-    ok = law_ok and rep.exponent is not None and abs(rep.exponent + 1.5) <= 0.05
+    rep = hypothesis_violation_report(heat_counterexample_field(1))
+    ok = (law_ok and rep.t_grid[-1] == 0.5 and rep.exponent is not None
+          and abs(rep.exponent + 1.5) <= 0.05)
     report(9, ok,
            f"energy growth exponent {rep.exponent:.4f} (target -1.5 +- 0.05); "
            f"analytic law verified by brute integral to "

@@ -47,6 +47,25 @@ def test_bench_environment_resolves():
     assert env["src_lines"] > 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_calls_parse_against_the_cli(seed, tmp_path, monkeypatch):
+    # the sweep session's CLI calls only fail at run time otherwise; parse
+    # each argument list as click would, without invoking a command
+    from utmqp.cli import main
+
+    monkeypatch.syspath_prepend(str(_BENCH))
+    run = _load("bench_run", "run.py")
+    workloads = importlib.import_module("workloads")
+    inputs = workloads.select_sweep(workloads.load_pool(), seed)
+    calls = run._sweep_calls(inputs, tmp_path)
+    assert calls
+    for command, _, args in calls:
+        with main.make_context("utmqp", list(args)) as ctx:
+            name, cmd, rest = main.resolve_command(ctx, list(args))
+            assert name == command
+            cmd.make_context(name, rest, parent=ctx)
+
+
 @pytest.mark.parametrize(
     "module,attr", sorted({(target[0], target[1]) for target in tracing.LAYER_TARGETS})
 )

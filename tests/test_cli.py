@@ -16,6 +16,14 @@ HEAT_PROBLEM = {
     "f": {"name": "zero"},
 }
 
+HEAT_FORCED = {
+    "pde": "heat",
+    "u0": {"name": "exp_decay", "a": 1.0},
+    "g0": {"name": "exp_of_t", "a": -1.0},
+    "f": {"name": "separable", "x": {"name": "exp_decay", "a": 1.0},
+          "t": {"name": "constant", "c": 1.0}},
+}
+
 KDV_STEP = {
     "pde": "kdv",
     "u0": {"name": "zero"},
@@ -72,15 +80,6 @@ class TestSolveCommand:
         assert result.exit_code == 2
         assert "finite" in result.output
 
-    def test_pde_flag_must_match(self, runner, tmp_path):
-        problem = write_problem(tmp_path, HEAT_PROBLEM)
-        result = runner.invoke(
-            main,
-            ["solve", "--pde", "kdv", "--problem", problem,
-             "--grid", "0.5:1:2,0.5:1:2", "--out", str(tmp_path / "f.csv")],
-        )
-        assert result.exit_code == 2
-
     def test_malformed_json_reports_location(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"pde": "heat", \n "u0": }')
@@ -125,6 +124,24 @@ class TestVerifyCommand:
             assert check["passed"]
             assert "measured" in check and "thresholds" in check
 
+    @pytest.mark.parametrize(
+        "payload,checks",
+        [
+            (HEAT_PROBLEM, "decay,oracle"),
+            (HEAT_PROBLEM, "energy"),
+            (KDV_STEP, "decay,oracle"),
+            (HEAT_FORCED, "residual"),
+        ],
+    )
+    def test_checks_pass(self, runner, tmp_path, payload, checks):
+        problem = write_problem(tmp_path, payload)
+        result = runner.invoke(
+            main, ["verify", "--problem", problem, "--checks", checks]
+        )
+        assert result.exit_code == 0, result.output
+        names = checks.split(",")
+        assert result.output.splitlines() == [f"{n}: PASS" for n in names]
+
     def test_unknown_check_is_usage_error(self, runner, tmp_path):
         problem = write_problem(tmp_path, HEAT_PROBLEM)
         result = runner.invoke(
@@ -149,6 +166,18 @@ class TestCounterexampleCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,t,u"
         assert len(lines) > 1
+
+    def test_kdv_family_report(self, runner, tmp_path):
+        # u1 = z Ai(z) / t with z = x (3t)^{-1/3} gives E ~ t^{-5/3}
+        report = tmp_path / "violations.json"
+        result = runner.invoke(
+            main, ["counterexample", "--pde", "kdv", "--n", "1",
+                   "--report", str(report)],
+        )
+        assert result.exit_code == 0, result.output
+        payload = json.loads(report.read_text())
+        assert payload["violated"]
+        assert abs(payload["energy_exponent"] + 5.0 / 3.0) <= 0.05
 
     def test_bad_order(self, runner):
         result = runner.invoke(main, ["counterexample", "--pde", "heat", "--n", "0"])
@@ -178,6 +207,19 @@ class TestReduceCommand:
             main, ["reduce", "--mode", "oblique", "--A", "1", "--B", "0", "--C", "1"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            (["--mode", "oblique", "--A", "1", "--B", "1", "--C", "nan"], "C"),
+            (["--mode", "robin", "--A", "nan", "--B", "1"], "A"),
+            (["--mode", "oblique", "--A", "1", "--B", "1e-200", "--C", "1"], "B"),
+        ],
+    )
+    def test_unusable_parameters_are_usage_errors(self, runner, args, name):
+        result = runner.invoke(main, ["reduce", *args])
+        assert result.exit_code == 2, result.output
+        assert f"Error: {name}" in result.output
 
 
 class TestSweepCommand:
@@ -228,24 +270,6 @@ class TestDumpCommands:
 
 
 class TestEnvironmentAndExitCodes:
-    def test_thread_env_fallback(self, runner, tmp_path):
-        problem = write_problem(tmp_path, HEAT_PROBLEM)
-        out = tmp_path / "f.csv"
-        result = runner.invoke(
-            main,
-            ["solve", "--problem", problem, "--grid", "0.5:1:2,0.5:1:2",
-             "--out", str(out)],
-            env={"UTM_QP_THREADS": "2"},
-        )
-        assert result.exit_code == 0, result.output
-        bad = runner.invoke(
-            main,
-            ["solve", "--problem", problem, "--grid", "0.5:1:2,0.5:1:2",
-             "--out", str(out)],
-            env={"UTM_QP_THREADS": "many"},
-        )
-        assert bad.exit_code == 2
-
     def test_verify_failure_exits_one(self, runner, tmp_path, monkeypatch):
         import utmqp.cli as cli_mod
 

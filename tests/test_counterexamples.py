@@ -202,15 +202,15 @@ class TestViolationReport:
                 np.array([heat_counterexample(1, x, t) for x in xs]) ** 2, xs
             )
             assert brute == pytest.approx(analytic * t**-1.5, rel=1e-6)
-        rep = hypothesis_violation_report(heat_counterexample_field(1), T=0.5)
+        rep = hypothesis_violation_report(heat_counterexample_field(1))
         assert rep.violated
         assert rep.exponent == pytest.approx(-1.5, abs=0.05)
 
     def test_zero_field(self):
-        rep = hypothesis_violation_report(lambda x, t: 0.0, T=0.5)
+        rep = hypothesis_violation_report(lambda x, t: 0.0)
         assert not rep.violated
         assert rep.summary() == "no violation detected"
 
     def test_second_member_is_more_singular(self):
-        rep = hypothesis_violation_report(heat_counterexample_field(2), T=0.5)
+        rep = hypothesis_violation_report(heat_counterexample_field(2))
         assert rep.exponent < -1.5

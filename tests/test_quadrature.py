@@ -16,6 +16,7 @@ from utmqp.contours import (
 )
 from utmqp.errors import AccuracyError, InvalidContourError, TruncationError
 from utmqp.quadrature import (
+    _ENVELOPE_PROBES,
     Integrand,
     integrate,
     power_law_envelope,
@@ -148,12 +149,11 @@ class TestRayTruncation:
     def test_envelope_says_nothing_inside_its_first_probe(self):
         # a Gaussian that is below a roundoff-like floor at every probe
         # radius, so the power law fitted there misses it entirely
-        probes = (4.0, 8.0, 16.0, 32.0)
         ray = Ray(1.0 + 0j, 0.0)
         g = Integrand(lambda lam: np.exp(-3.0 * (lam - 1.0) ** 2) + 1e-15 / lam**2)
-        g.decay_envelope = power_law_envelope(g, ray, probes)
+        g.decay_envelope = power_law_envelope(g, ray)
         assert g.decay_envelope is not None
-        assert ray_truncation(g, ray, TOL) >= probes[0]
+        assert ray_truncation(g, ray, TOL) >= _ENVELOPE_PROBES[0]
         value = integrate(g, Contour((ray,)), TOL).value
         assert abs(value - 0.5 * math.sqrt(math.pi / 3.0)) <= 1e-8
 

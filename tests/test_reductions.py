@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,23 @@ class TestRobinPhi:
         for _ in range(100):
             a, b = rng.uniform(0.05, 10.0, size=2)
             assert robin_phi_check(a, b).passed
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "check,args,message",
+        [
+            (robin_phi_check, (math.nan, 1.0), "A must be finite"),
+            (robin_phi_check, (1.0, math.inf), "B must be finite"),
+            (robin_phi_check, (1.0, 1e-200), "1 - A^2/B^2 must be finite"),
+            (oblique_phi_check, (1.0, 1.0, math.nan), "C must be finite"),
+            (oblique_phi_check, (math.inf, 1.0, 1.0), "A must be finite"),
+            (oblique_phi_check, (1.0, 1e-200, 1.0), "B*B underflows"),
+        ],
+    )
+    def test_rejected_naming_the_parameter(self, check, args, message):
+        with pytest.raises(InvalidParameterError, match="^" + re.escape(message)):
+            check(*args)
 
 
 class TestObliquePhi:

@@ -13,10 +13,10 @@ from utmqp.errors import (
     TruncationError,
     UnsupportedOrderError,
 )
+from conftest import combine_profiles
 from utmqp.profiles import (
     ProblemSpec,
     builtin_profile,
-    combine_profiles,
     separable_forcing,
     zero_forcing,
 )

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from utmqp.errors import AccuracyError, OutOfDomainError, SingularArgumentError
+from conftest import combine_profiles
 from utmqp.profiles import (
     builtin_profile,
-    combine_profiles,
     separable_forcing,
     zero_forcing,
 )
