@@ -233,13 +233,7 @@ def _check_energy(p, cfg):
         q = ProblemSpec(p.pde, builtin_profile("bump", a=1.0, b=3.0),
                         builtin_profile("zero"), zero_forcing())
         note = "canonical homogeneous problem (bump datum)"
-    field = lambda x, t: solve(q, x, t, cfg).value
-    slope = (
-        (lambda x, t: solve_derivative(q, 1, 0, x, t, cfg).value)
-        if q.pde == "heat"
-        else None
-    )
-    tr = energy_trace(field, q.pde, T=0.8, n_t=2, t_start=0.3, slope_field=slope)
+    tr = energy_trace(q, T=0.8, n_t=2, t_start=0.3, config=cfg)
     rel = tr.max_relative_residual()
     return VerificationReport(
         name="energy",

@@ -105,6 +105,15 @@ def robin_phi_check(A: float, B: float) -> PhiReport:
     )
 
 
+def _oblique_roots(A: float, B: float, C: float) -> tuple:
+    """Roots of the B^2-scaled characteristic r^2 + b r - A^2, the larger
+    first.  As q and -A^2/q, q = -(b + sign(b) sqrt(b^2 + 4A^2))/2, they
+    neither cancel nor overflow where the unscaled discriminant would."""
+    b = B * B / C - 2.0 * A
+    q = -0.5 * (b + math.copysign(math.hypot(b, 2.0 * A), b))
+    return tuple(sorted((q, -(A * A) / q), reverse=True))
+
+
 def oblique_phi_check(A: float, B: float, C: float) -> PhiReport:
     """The oblique-Robin kernel function phi must vanish identically.
 
@@ -123,8 +132,7 @@ def oblique_phi_check(A: float, B: float, C: float) -> PhiReport:
     a1 = 1.0 / C - 2.0 * A / (B * B)
     a0 = -(A * A) / (B * B)
     _require_finite(**{"1/B^2": a2, "1/C - 2A/B^2": a1, "-A^2/B^2": a0})
-    disc = a1 * a1 - 4.0 * a2 * a0
-    roots = ((-a1 + math.sqrt(disc)) / (2 * a2), (-a1 - math.sqrt(disc)) / (2 * a2))
+    roots = _oblique_roots(A, B, C)
     return PhiReport(
         branch="regular",
         max_abs_phi=0.0,

@@ -1,6 +1,7 @@
 """Independent verification of the solver's analytical properties.
 
-Everything here is deliberately decoupled from the contour machinery:
+The two oracles are deliberately decoupled from the contour machinery;
+the other checks probe the solver's own fields:
 
 * ``heat_oracle``    -- classical image-kernel solution of the half-line
   heat problem (Gauss kernel images + boundary kernel + Duhamel term).
@@ -9,18 +10,19 @@ Everything here is deliberately decoupled from the contour machinery:
 * ``pde_residual``   -- centered finite-difference residual of any field.
 * ``boundary_recovery`` / ``decay_supremum`` / ``energy_trace`` -- probe
   the limit clauses, the uniform spatial decay, and the energy
-  dissipation identity that underpins uniqueness.
+  dissipation identity that underpins uniqueness, the last with fluxes
+  from the representation's exact x-derivatives.
 
 Reports are plain dataclasses: measured magnitudes, thresholds, and a
 pass flag that is a pure function of the two.  The recovery probes and
-threshold and the energy identity's finite-difference steps are module
+threshold and the energy identity's time step and slope point are module
 constants of the checks, not arguments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,7 +54,7 @@ class VerificationReport:
 class EnergyTrace:
     t_grid: tuple
     energies: tuple
-    fluxes: tuple  # boundary-slope^2 (cubic) or 2*int W_x^2 (heat)
+    fluxes: tuple  # U_x(0+, t)^2 (cubic) or 2*int U_x^2 (heat)
     dE_dt: tuple
     identity_residuals: tuple
     monotone: bool
@@ -201,8 +203,15 @@ def heat_oracle(
         def boundary_part(sig):
             return np.exp(-sig * sig) * p.g0(t - x * x / (4.0 * sig * sig))
 
-        total += (2.0 / math.sqrt(math.pi)) * _adaptive_interval(
-            boundary_part, s0, s0 + 9.0, tol
+        # g0's argument climbs from 0 to ~t across a layer of width ~s0 at
+        # the lower limit; breakpoints s0 2^j up to 1 resolve any small x
+        edges = [s0]
+        while edges[-1] < 1.0:
+            edges.append(min(2.0 * edges[-1], 1.0))
+        edges.append(s0 + 9.0)
+        total += (2.0 / math.sqrt(math.pi)) * sum(
+            _adaptive_interval(boundary_part, a, b, tol)
+            for a, b in zip(edges[:-1], edges[1:])
         )
 
     if not p.f.is_zero():
@@ -309,7 +318,6 @@ def kdv_fd_oracle(
     nx: int = 1500,
     nt: int = 1000,
     T: float = 1.0,
-    with_refinement: bool = True,
 ) -> FDSolution:
     """Crank-Nicolson solution of the truncated-domain problem.
 
@@ -369,14 +377,12 @@ def kdv_fd_oracle(
         return xs, ts, vals, monotone
 
     xs, ts, vals, monotone = run(nx, nt)
-    rich = 0.0
-    if with_refinement:
-        xs2, ts2, vals2, _ = run(nx // 2, nt // 2)
-        # compare on the coarse grid (every other node/step)
-        coarse = vals[::2, ::2][: len(ts2), : len(xs2)]
-        common_x = min(coarse.shape[1], vals2.shape[1])
-        diff = np.abs(coarse[:, :common_x] - vals2[:, :common_x])
-        rich = float(diff.max()) / 3.0  # second-order Richardson
+    xs2, ts2, vals2, _ = run(nx // 2, nt // 2)
+    # compare on the coarse grid (every other node/step)
+    coarse = vals[::2, ::2][: len(ts2), : len(xs2)]
+    common_x = min(coarse.shape[1], vals2.shape[1])
+    diff = np.abs(coarse[:, :common_x] - vals2[:, :common_x])
+    rich = float(diff.max()) / 3.0  # second-order Richardson
     return FDSolution(pde, xs, ts, vals, rich, monotone)
 
 
@@ -481,73 +487,60 @@ def decay_supremum(
 # ---------------------------------------------------------------------------
 
 
-def _auto_upper_limit(field: Callable, t: float) -> float:
+def _auto_upper_limit(p: ProblemSpec, t: float, config: SolverConfig) -> float:
     upper = 4.0
     while upper < 512.0:
-        if abs(field(upper, t)) ** 2 * upper < 1e-10:
+        if abs(solve(p, upper, t, config).value) ** 2 * upper < 1e-10:
             return upper
         upper *= 2.0
     return upper
 
 
-# finite-difference steps of energy_trace in t and in x
+# centred-difference step of dE/dt in energy_trace
 _ENERGY_DT = 1e-3
-_ENERGY_DX = 1e-3
+# where energy_trace takes the kdv boundary slope: u_x(x) - u_x(0+) is
+# x u_xx(0+) + O(x^2), so the gap to the x = 0+ limit is linear in x
+_SLOPE_X = 1e-8
 
 
 def energy_trace(
-    field: Callable,
-    pde: str,
+    p: ProblemSpec,
     T: float,
-    L: float | None = None,
     n_t: int = 5,
     t_start: float = 0.2,
-    slope_field: Optional[Callable] = None,
+    config: SolverConfig = DEFAULT_CONFIG,
 ) -> EnergyTrace:
-    """Energy E(t) = int_0^L field^2 dx and the dissipation identity.
+    """Energy E(t) = int_0^L U^2 dx of a homogeneous-Dirichlet, unforced
+    problem and its dissipation identity:
 
-    cubic: dE/dt = -[W_x(0, t)]^2    heat: dE/dt = -2 int_0^L W_x^2 dx
+    cubic: dE/dt = -[U_x(0+, t)]^2    heat: dE/dt = -2 int_0^L U_x^2 dx
 
-    ``field`` must come from a homogeneous-Dirichlet, zero-forcing
-    problem.  dE/dt is a centered difference with step ``_ENERGY_DT``;
-    the boundary slope uses a one-sided 4-point stencil with step
-    ``_ENERGY_DX``; W_x inside the domain uses ``slope_field`` when given
-    (exact solver derivative), else a centered stencil of that step.
+    U_x is the representation's exact derivative (``solve_derivative``),
+    taken at x = ``_SLOPE_X`` for the cubic boundary slope; dE/dt is a
+    centred difference with step ``_ENERGY_DT``.  L is where U^2 x drops
+    below 1e-10 at t = T.  Raises InvalidParameterError unless g0 and f
+    are zero.
     """
-    dt, dx = _ENERGY_DT, _ENERGY_DX
+    if not (p.g0.is_zero() and p.f.is_zero()):
+        raise InvalidParameterError("energy_trace needs zero g0 and zero forcing")
+    dt = _ENERGY_DT
     ts = np.linspace(t_start, T, n_t)
-    if L is None:
-        L = _auto_upper_limit(field, ts[-1])
+    L = _auto_upper_limit(p, ts[-1], config)
     nodes, weights = _gauss_legendre(80)
+    xs = 0.5 * L * (nodes + 1.0)
 
     def energy(t: float) -> float:
-        xs = 0.5 * L * (nodes + 1.0)
-        vals = np.array([field(x, t) for x in xs])
+        vals = np.array([solve(p, x, t, config).value for x in xs])
         return 0.5 * L * float(np.dot(weights, vals * vals))
-
-    def boundary_slope(t: float) -> float:
-        grid = dx * np.arange(1, 5)
-        # field(0, t) = 0 for the homogeneous problem, so the x = 0 node
-        # of the one-sided stencil contributes nothing
-        grid0 = np.concatenate([[0.0], grid])
-        w0 = fd_weights(1, grid0, x0=0.0)
-        vals = np.array([field(x, t) for x in grid])
-        return float(np.dot(w0[1:], vals))
-
-    def slope_at(x: float, t: float) -> float:
-        if slope_field is not None:
-            return slope_field(x, t)
-        return (field(x + dx, t) - field(x - dx, t)) / (2.0 * dx)
 
     energies, fluxes, dE, residuals = [], [], [], []
     for t in ts:
         e = energy(t)
         dedt = (energy(t + dt) - energy(t - dt)) / (2.0 * dt)
-        if pde == "kdv":
-            flux = boundary_slope(t) ** 2
+        if p.pde == "kdv":
+            flux = solve_derivative(p, 1, 0, _SLOPE_X, t, config).value ** 2
         else:
-            xs = 0.5 * L * (nodes + 1.0)
-            wx = np.array([slope_at(x, t) for x in xs])
+            wx = np.array([solve_derivative(p, 1, 0, x, t, config).value for x in xs])
             flux = 2.0 * 0.5 * L * float(np.dot(weights, wx * wx))
         energies.append(e)
         fluxes.append(flux)

@@ -17,7 +17,12 @@ from pathlib import Path
 import pytest
 
 from utmqp import solvers
-from utmqp.profiles import ProblemSpec, builtin_profile, separable_forcing
+from utmqp.profiles import (
+    ProblemSpec,
+    builtin_profile,
+    separable_forcing,
+    zero_forcing,
+)
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -126,3 +131,18 @@ def test_forcing_terms_trace_their_transforms(pde):
     for term in ("force_line", "force_wedge"):
         for name in ("transforms.grouped_time_transform", "transforms.half_line_fourier"):
             assert (term, name) in seen
+
+
+def test_energy_trace_solves_nest_under_its_span():
+    # verification.energy_trace.solves counts the solver spans below the
+    # check's span; energy_trace must call the solver through the
+    # verification module's globals for the count to stay live
+    from utmqp import cli
+
+    zero = builtin_profile("zero")
+    p = ProblemSpec("heat", zero, zero, zero_forcing())
+    with tracing.Tracer(tracing.LAYER_TARGETS) as tracer:
+        cli.energy_trace(p, T=0.5, n_t=1, t_start=0.5)
+    solves = [s for s in tracer.spans if s.name == "solvers.solve"]
+    assert solves
+    assert all(tracing.has_ancestor(s, "verification.energy_trace") for s in solves)

@@ -131,6 +131,7 @@ class TestVerifyCommand:
             (HEAT_PROBLEM, "energy"),
             (KDV_STEP, "decay,oracle"),
             (HEAT_FORCED, "residual"),
+            (KDV_STEP, "energy"),
         ],
     )
     def test_checks_pass(self, runner, tmp_path, payload, checks):

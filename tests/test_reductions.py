@@ -123,7 +123,20 @@ class TestObliquePhi:
 
     def test_characteristic_roots_reported(self):
         rep = oblique_phi_check(1.0, 1.0, 1.0)
-        assert "characteristic roots" in rep.detail
+        assert rep.detail == "characteristic roots 1.61803, -0.618034"
+
+    @pytest.mark.parametrize("A,B,C", [(1.0, 1.0, 1e-200), (1.0, 1e-150, 1.0)])
+    def test_roots_finite_at_extreme_scales(self, A, B, C):
+        # the unscaled discriminant overflows here and printed inf, -inf
+        printed = oblique_phi_check(A, B, C).detail.split("roots ")[1].split(", ")
+        assert all(math.isfinite(float(r)) for r in printed)
+        from utmqp.reductions import _oblique_roots
+
+        b = B * B / C - 2.0 * A
+        for r in _oblique_roots(A, B, C):
+            # r^2 + b r - A^2 = 0, divided by r so no term overflows
+            scale = abs(r) + abs(b) + A * A / abs(r)
+            assert abs(r + b - A * A / r) <= 1e-12 * scale
 
     def test_nonpositive_parameters_rejected(self):
         with pytest.raises(InvalidParameterError):

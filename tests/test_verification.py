@@ -188,6 +188,22 @@ class TestHeatOracle:
             )
             assert heat_oracle(p, x, t) == pytest.approx(exact, abs=1e-10)
 
+    @pytest.mark.parametrize("t", [1e-2, 0.5, 1.0])
+    @pytest.mark.parametrize("x", [1.0, 1e-2, 1e-4, 1e-5, 1e-6])
+    def test_boundary_part_near_the_boundary(self, x, t):
+        # g0 = e^{-t} has the closed form e^{-t} Re[e^{ix} erfc(x/2sqrt(t)
+        # + i sqrt(t))]; the boundary integrand's layer at its lower limit
+        # is ~x/2sqrt(t) wide
+        p = ProblemSpec(
+            "heat",
+            builtin_profile("zero"),
+            builtin_profile("exp_of_t", a=-1.0),
+            zero_forcing(),
+        )
+        z = x / (2.0 * math.sqrt(t)) + 1j * math.sqrt(t)
+        exact = math.exp(-t) * (np.exp(1j * x) * erfc(z)).real
+        assert heat_oracle(p, x, t) == pytest.approx(exact, abs=1e-13)
+
     def test_boundary_kernel_is_first_family_member(self):
         # x/sqrt(4 pi s^3) e^{-x^2/(4 s)} coincides with the first
         # non-uniqueness member (1/sqrt(4 pi) = 1/(2 sqrt(pi)))
@@ -211,12 +227,11 @@ class TestKdvFdOracle:
         p = ProblemSpec(
             "kdv", builtin_profile("zero"), builtin_profile("zero"), zero_forcing()
         )
-        fd = kdv_fd_oracle(p, L=10.0, nx=100, nt=50, T=0.5, with_refinement=False)
+        fd = kdv_fd_oracle(p, L=10.0, nx=100, nt=50, T=0.5)
         assert np.max(np.abs(fd.values)) == 0.0
 
     def test_discrete_energy_monotone_for_homogeneous_problem(self):
-        fd = kdv_fd_oracle(bump_problem("kdv"), L=20.0, nx=800, nt=400, T=1.0,
-                           with_refinement=False)
+        fd = kdv_fd_oracle(bump_problem("kdv"), L=20.0, nx=800, nt=400, T=1.0)
         assert fd.energy_monotone
 
     def test_agreement_with_contour_solution(self):
@@ -228,6 +243,16 @@ class TestKdvFdOracle:
         # the Richardson estimate confirms the grid solution dominates
         # the comparison error budget
         assert fd.richardson_error > 10.0 * s.error_estimate
+
+    def test_error_against_contour_solution_shrinks_under_refinement(self):
+        p = bump_problem("kdv")
+        pts = [(0.5, 0.2), (1.0, 0.6), (2.0, 1.0), (3.0, 0.6)]
+        exact = {pt: solve(p, *pt).value for pt in pts}
+        errors = []
+        for nx, nt in ((3200, 1600), (6400, 3200)):
+            fd = kdv_fd_oracle(p, L=16.0, nx=nx, nt=nt, T=1.1)
+            errors.append(max(abs(fd(*pt) - exact[pt]) for pt in pts))
+        assert errors[1] <= 0.5 * errors[0]
 
     def test_heat_variant(self):
         p = exp_decay_problem("heat")
@@ -259,39 +284,25 @@ class TestTwoOracleTriangle:
 
 
 class TestEnergyTrace:
-    def test_kdv_flux_identity_on_fd_field(self):
-        # the grid field carries temporal phase error on its fast
-        # dispersive components (omega = k^3), so the pointwise identity
-        # closes only to the scheme's convergence level here; the exact
-        # field meets the 1e-3 bound (see the acceptance suite)
-        fd = kdv_fd_oracle(bump_problem("kdv"), L=16.0, nx=6400, nt=3200, T=1.1,
-                           with_refinement=False)
-        tr = energy_trace(fd, "kdv", T=1.0, L=15.0, n_t=3, t_start=0.2)
-        assert tr.max_relative_residual() <= 3e-3
-        assert tr.monotone
-
-    def test_fd_identity_residual_converges_under_refinement(self):
-        residuals = []
-        for nx, nt in ((3200, 1600), (6400, 3200)):
-            fd = kdv_fd_oracle(bump_problem("kdv"), L=16.0, nx=nx, nt=nt, T=1.1,
-                               with_refinement=False)
-            tr = energy_trace(fd, "kdv", T=1.0, L=15.0, n_t=3, t_start=0.2)
-            residuals.append(tr.max_relative_residual())
-        assert residuals[1] <= residuals[0] / 2.0
-
-    def test_heat_flux_identity_on_oracle_field(self):
-        p = bump_problem("heat")
-        field = lambda x, t: heat_oracle(p, x, t)
-        tr = energy_trace(field, "heat", T=0.8, n_t=3, t_start=0.2)
-        assert tr.max_relative_residual() <= 1e-3
-        assert tr.monotone
-        assert all(d <= 0 for d in tr.dE_dt)
+    @pytest.mark.parametrize("pde", ["heat", "kdv"])
+    def test_rejects_boundary_data_and_forcing(self, pde):
+        f = separable_forcing(
+            builtin_profile("exp_decay", a=1.0), builtin_profile("constant", c=1.0)
+        )
+        u0, zero = builtin_profile("bump", a=1.0, b=3.0), builtin_profile("zero")
+        for p in (
+            ProblemSpec(pde, u0, builtin_profile("exp_of_t", a=-1.0), zero_forcing()),
+            ProblemSpec(pde, u0, zero, f),
+        ):
+            with pytest.raises(InvalidParameterError, match="zero g0"):
+                energy_trace(p, T=1.0, n_t=2)
 
 
 class TestZeroFieldEnergy:
     def test_energy_and_flux_identically_zero(self):
-        tr = energy_trace(lambda x, t: 0.0, "kdv", T=1.0, L=8.0, n_t=3,
-                          t_start=0.2)
+        zero = builtin_profile("zero")
+        p = ProblemSpec("kdv", zero, zero, zero_forcing())
+        tr = energy_trace(p, T=1.0, n_t=3, t_start=0.2)
         assert all(e == 0.0 for e in tr.energies)
         assert all(f == 0.0 for f in tr.fluxes)
         assert tr.monotone
