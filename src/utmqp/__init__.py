@@ -6,7 +6,6 @@ explicit non-uniqueness families, and Robin-to-Dirichlet reductions."""
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .contours import (
-    CircularArc,
     Contour,
     LineSegment,
     Ray,

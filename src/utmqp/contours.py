@@ -78,37 +78,6 @@ class LineSegment:
 
 
 @dataclass(frozen=True)
-class CircularArc:
-    """Arc lambda(s) = center + radius*exp(i*theta(s)) with theta swept
-    linearly from ``angle_start`` to ``angle_end`` (either direction)."""
-
-    center: complex
-    radius: float
-    angle_start: float
-    angle_end: float
-    orientation: int = 1
-
-    kind = "arc"
-    finite = True
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise InvalidParameterError("arc radius must be positive")
-        if self.angle_start == self.angle_end:
-            raise InvalidParameterError("arc angle range must be nonempty")
-
-    def _theta(self, s):
-        return self.angle_start + np.asarray(s) * (self.angle_end - self.angle_start)
-
-    def point(self, s):
-        return self.center + self.radius * np.exp(1j * self._theta(s))
-
-    def velocity(self, s):
-        dtheta = self.angle_end - self.angle_start
-        return 1j * dtheta * self.radius * np.exp(1j * self._theta(s))
-
-
-@dataclass(frozen=True)
 class Contour:
     """Ordered tuple of segments; disconnected unions are permitted."""
 

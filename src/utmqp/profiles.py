@@ -57,7 +57,13 @@ class DataProfile:
     ``transform_upper_ok`` declares that the half-line transform may be
     evaluated above the real axis: either the closed form continues there
     or the profile has compact support, so the defining integral converges
-    for every lambda.  Contour tilts into the upper half-plane consult it.
+    for every lambda.  The cubic initial terms tilt their contours into the
+    upper half-plane and need it.
+
+    ``support_radius`` bounds the growth e^{b Im lambda} of the continued
+    transform above the real axis.  A continued transform that grows
+    there (compact support) must declare it; a missing one is read as 0,
+    a transform that stays bounded in the tilt sectors.
     """
 
     name: str

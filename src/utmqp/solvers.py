@@ -37,15 +37,17 @@ Each term is integrated where its integrand genuinely decays:
 
 * The other terms split at |lam| = 1, the split held as data (``_Split``)
   and integrated by the one builder ``_split_term``: a central piece
-  carrying K S, remainder rays carrying K (S - sigma) with sigma the
-  M-term large-lambda expansion of S (O(lam^{-M-1}), absolutely
-  integrable), and K sigma pushed up short vertical segments onto the
-  tilted far wedge (line split) or around radius-1 arcs onto tilted rays
-  (cubic wedge split), where e^{i lam x} and the time factor decay.  An
-  initial datum whose origin derivatives all vanish has nothing to
-  subtract: its split's tails are tilted by a safe angle instead.  A
-  forcing kernel decays only algebraically in lam, so the forcing terms
-  always subtract.
+  inside the unit disk, and tails that are rays from the unit points (+-1
+  on the real line, e^{i pi/3} and e^{2i pi/3} on the cubic wedge).  The
+  cubic initial terms tilt their tails off the axis into the sector where
+  e^{-w t} decays (up off the real line, down off the wedge), which the
+  continuation of the transform above the real axis permits; the tilt is
+  capped so a compact-support transform's growth never outruns the
+  decay.  A forcing kernel decays only algebraically in lam, so the
+  forcing terms subtract sigma, the M-term large-lambda expansion of the
+  transform: the untilted tails carry K (S - sigma) = O(lam^{-M-1}), and
+  K sigma goes onto tails tilted by a fixed angle, where e^{i lam x} and
+  the time factor decay.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from . import contours
-from .contours import CircularArc, Contour, LineSegment, Ray
+from .contours import Contour, LineSegment, Ray
 from .errors import (
     AccuracyError,
     InvalidParameterError,
@@ -78,7 +80,6 @@ from .quadrature import (
 from .transforms import (
     grouped_time_transform,
     half_line_fourier,
-    support_radius,
     tail_expansion,
 )
 # unused here; bench/tracing.py patches these names on utmqp.solvers
@@ -130,61 +131,43 @@ _ALPHA_SQ = cmath.exp(4j * math.pi / 3.0)
 # ---------------------------------------------------------------------------
 
 
-def _tilted_far_contour(thr: float, thl: float, radius: float, delta: float) -> Contour:
-    """The rays at arguments ``thr`` and ``thl`` beyond ``radius``, tilted
-    by ``delta`` toward the real axis (negative ``delta`` tilts away),
-    joined by arcs at ``radius``.  Cauchy-equivalent to the straight rays
-    for integrands analytic in the swept sectors (away from the origin)."""
-    return Contour(
-        (
-            Ray(radius * cmath.exp(1j * (thl + delta)), thl + delta, orientation=-1),
-            CircularArc(0j, radius, thl + delta, thl),
-            CircularArc(0j, radius, thr, thr - delta),
-            Ray(radius * cmath.exp(1j * (thr - delta)), thr - delta),
-        )
-    )
+def _tails(left: complex, thl: float, right: complex, thr: float) -> Contour:
+    """The ray at argument ``thl`` inbound to ``left``, then the ray at
+    argument ``thr`` outbound from ``right``."""
+    return Contour((Ray(left, thl, orientation=-1), Ray(right, thr)))
 
 
 @dataclass(frozen=True)
 class _Split:
-    """The pieces of a term split at |lambda| = 1: ``central``, the
-    ``remainder`` rays (inbound left, outbound right), the ``expansion``
-    contours, and ``tilted(delta)`` for expansion-free data."""
+    """The pieces of a term split at |lambda| = 1: ``central``, and
+    ``tilted(delta)``, the tails from the two unit points turned by
+    ``delta`` into the sector where the kernel decays (``tilted(0)`` runs
+    along the untilted contour).  A subtracted expansion goes onto the
+    tails at the fixed tilt ``expansion_tilt``."""
 
     central: Contour
-    remainder: Contour
-    expansion: tuple
     tilted: Callable[[float], Contour]
+    expansion_tilt: float
 
 
-def _line_split(
-    thr: float, thl: float, height: float, far: float, rotation: float
-) -> _Split:
-    """The real line: [-1, 1], the tails |lambda| >= 1, and the expansion
-    carried up vertical segments of ``height`` onto the wedge rays at
-    ``thr`` and ``thl`` beyond radius ``far``, tilted by ``rotation``."""
-    left, right, up = -1.0 + 0j, 1.0 + 0j, 1j * height
+def _line_split(expansion_tilt: float) -> _Split:
+    """The real line: [-1, 1] and the tails from -1 and 1, tilted up."""
+    left, right = -1.0 + 0j, 1.0 + 0j
     return _Split(
         central=Contour((LineSegment(left, right),)),
-        remainder=Contour((Ray(left, math.pi, orientation=-1), Ray(right, 0.0))),
-        expansion=(
-            Contour((LineSegment(left + up, left), LineSegment(right, right + up))),
-            _tilted_far_contour(thr, thl, far, rotation),
-        ),
-        tilted=lambda delta: _tilted_far_contour(0.0, math.pi, 1.0, -delta),
+        tilted=lambda d: _tails(left, math.pi - d, right, d),
+        expansion_tilt=expansion_tilt,
     )
 
 
 def _wedge_split(thr: float, thl: float, rotation: float) -> _Split:
-    """The wedge: its part inside the unit disk, the rays beyond it, and
-    the expansion carried around radius-1 arcs onto rays tilted by
-    ``rotation``."""
+    """The wedge: its part inside the unit disk, and the tails from its
+    unit points, tilted toward the real axis."""
     left, right = cmath.exp(1j * thl), cmath.exp(1j * thr)
     return _Split(
         central=Contour((LineSegment(left, 0j), LineSegment(0j, right))),
-        remainder=Contour((Ray(left, thl, orientation=-1), Ray(right, thr))),
-        expansion=(_tilted_far_contour(thr, thl, 1.0, rotation),),
-        tilted=lambda delta: _tilted_far_contour(thr, thl, 1.0, delta),
+        tilted=lambda d: _tails(left, thl + d, right, thr - d),
+        expansion_tilt=rotation,
     )
 
 
@@ -240,27 +223,27 @@ class _Family:
     signs: tuple
 
 
-def _family(wedge, height, far, rotation, subtract_on_wedge, **fields) -> _Family:
-    """The family on ``wedge``; its line split climbs ``height`` to the
-    wedge rays at radius ``far``."""
+def _family(wedge, rotation, split_wedge, **fields) -> _Family:
+    """The family on ``wedge``; its line split puts a subtracted
+    expansion on tails parallel to the rays of the rotated wedge."""
     thl, thr = (ray.angle for ray in wedge)
     return _Family(
         rotation=rotation, rotated=contours.ray_pair(thl + rotation, thr - rotation),
-        line_split=_line_split(thr, thl, height, far, rotation),
-        wedge_split=_wedge_split(thr, thl, rotation) if subtract_on_wedge else None,
+        line_split=_line_split(thr - rotation),
+        wedge_split=_wedge_split(thr, thl, rotation) if split_wedge else None,
         **fields,
     )
 
 
 _FAMILIES = {
     "kdv": _family(
-        contours.kdv_contour(), math.sqrt(3.0), 2.0, math.pi / 12.0, True,
+        contours.kdv_contour(), math.pi / 12.0, True,
         w=lambda lam: -1j * lam**3, dw=lambda lam: -3j * lam * lam, order=3,
         boundary_coef=lambda lam: 3.0 * lam * lam, wedge_map=_alpha_combo,
         signs=(1.0, 1.0, -1.0, 1.0, 1.0),
     ),
     "heat": _family(
-        contours.heat_contour(), 1.0, math.sqrt(2.0), math.pi / 8.0, False,
+        contours.heat_contour(), math.pi / 8.0, False,
         w=lambda lam: lam * lam, dw=lambda lam: 2.0 * lam, order=2,
         boundary_coef=lambda lam: 2j * lam, wedge_map=_reflect,
         signs=(1.0, -1.0, -1.0, 1.0, -1.0),
@@ -320,14 +303,6 @@ def _grouped(
     return kernel
 
 
-def _transforms(u: DataProfile, terms: int, tol: float) -> tuple:
-    """(uhat, sigma): the half-line transform of ``u`` and its
-    ``terms``-term large-lambda expansion."""
-    uhat = lambda lam: half_line_fourier(u, lam, tol)
-    sigma = lambda lam: tail_expansion(u, terms, lam)
-    return uhat, sigma
-
-
 # ---------------------------------------------------------------------------
 # term evaluators
 # ---------------------------------------------------------------------------
@@ -338,51 +313,40 @@ def _split_term(
     full: Callable,
     tail: Callable | None,
     split: _Split,
-    delta: float | None,
+    delta: float,
     config: SolverConfig,
 ) -> QuadratureResult:
-    """One term over ``split``: ``full`` on the central piece, ``full -
-    tail`` on the remainder rays and ``tail`` on the expansion contours.
-    With ``tail`` None there is nothing to subtract, and ``full`` is
-    integrated on the central piece and the tails tilted by ``delta``."""
+    """One term over ``split``: ``full`` on the central piece and on the
+    tails tilted by ``delta``.  Given an expansion ``tail`` of ``full``,
+    the untilted tails carry the remainder ``full - tail`` and only
+    ``tail`` goes onto the tilted tails."""
     g = build(full)
-    if tail is None:
-        pieces = [(g, split.central), (g, split.tilted(delta))]
-    else:
+    pieces = [(g, split.central)]
+    if tail is not None:
         rem = build(lambda lam: full(lam) - tail(lam))
+        remainder = split.tilted(0.0)
         # the envelope is probed along the outbound remainder ray
-        rem.decay_envelope = power_law_envelope(rem, split.remainder.segments[1])
-        pieces = [(g, split.central), (rem, split.remainder)]
-        pieces += [(build(tail), contour) for contour in split.expansion]
+        rem.decay_envelope = power_law_envelope(rem, remainder.segments[1])
+        pieces.append((rem, remainder))
+        g = build(tail)
+    pieces.append((g, split.tilted(delta)))
     # each piece is integrated to the full term tolerance; the reported
     # error estimate is the (conservative) sum over pieces
     return sum((integrate(g, c, config.tol, config) for g, c in pieces), ZERO_RESULT)
 
 
-def _wedge_term(
-    fam: _Family, build: Callable, full: Callable, tail: Callable, config: SolverConfig
-) -> QuadratureResult:
-    """An initial or forcing wedge term: ``full`` carried through the
-    wedge map, whole on the rotated wedge (heat) or with the mapped
-    ``tail`` subtracted over the wedge split (cubic)."""
-    if fam.wedge_split is None:
-        return integrate(build(fam.wedge_map(full)), fam.rotated, config.tol, config)
-    full, tail = fam.wedge_map(full, check_domain=True), fam.wedge_map(tail)
-    return _split_term(build, full, tail, fam.wedge_split, None, config)
-
-
-def _tail_expansion_trivial(u0: DataProfile, terms: int) -> bool:
-    return all(abs(float(u0.derivative(j, 0.0))) < 1e-14 for j in range(terms))
-
-
-def _cubic_tilt(u0: DataProfile, t: float, config: SolverConfig):
+def _cubic_tilt(u0: DataProfile, t: float) -> float:
     """Largest tilt <= the cubic rotation for which the transform growth
-    e^{b r sin(d)} along the tilted ray stays within e^_TILT_CAP of the
-    cubic decay e^{-t r^3 sin(3 d)}, b the support radius of ``u0``
-    (declared, else probed).  Keeps upward continuations of
+    e^{b r sin(d)} along the tilted tails stays within e^_TILT_CAP of the
+    cubic decay e^{-t r^3 sin(3 d)}, b the declared support radius of
+    ``u0`` (0 when undeclared).  Keeps upward continuations of
     compact-support transforms free of catastrophic cancellation."""
-    b = u0.support_radius
-    b = support_radius(u0, config.tol) if b is None else float(b)
+    if not u0.transform_upper_ok:
+        raise OutOfDomainError(
+            "the cubic initial terms need a transform continuation above the "
+            "real axis"
+        )
+    b = float(u0.support_radius or 0.0)
     order = 3
 
     def max_exponent(d: float) -> float:
@@ -404,50 +368,35 @@ def _effective_terms(fam: _Family, k: int, m: int) -> int:
     return _TAIL_TERMS + k + fam.order * m
 
 
+def _initial_term(
+    p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig,
+    on_wedge: bool,
+) -> QuadratureResult:
+    """The initial real-line or wedge term: whole on the real line or the
+    rotated wedge (heat), or over the split with its tails tilted by
+    ``_cubic_tilt`` (cubic)."""
+    fam = _FAMILIES[p.pde]
+    build = _integrand(fam, k, x, t, _decay(fam, m, x, t))
+    uhat = lambda lam: half_line_fourier(p.u0, lam, config.tol)
+    if on_wedge:
+        uhat = fam.wedge_map(uhat)
+    if fam.wedge_split is None:
+        whole = fam.rotated if on_wedge else contours.real_line()
+        return integrate(build(uhat), whole, config.tol, config)
+    split = fam.wedge_split if on_wedge else fam.line_split
+    return _split_term(build, uhat, None, split, _cubic_tilt(p.u0, t), config)
+
+
 def _initial_real_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
-    fam = _FAMILIES[p.pde]
-    tol = config.tol
-    build = _integrand(fam, k, x, t, _decay(fam, m, x, t))
-    terms = _effective_terms(fam, k, m)
-    uhat, sigma = _transforms(p.u0, terms, tol)
-
-    if fam.wedge_split is None:
-        # the heat time factor decays on the real axis
-        return integrate(build(uhat), contours.real_line(), tol, config)
-
-    # nothing to subtract when all origin derivatives vanish
-    if _tail_expansion_trivial(p.u0, terms):
-        # the cubic oscillatory tails are instead lifted off the real
-        # axis, which the transform's continuation permits
-        if not p.u0.transform_upper_ok:
-            raise OutOfDomainError(
-                "expansion-free datum on the cubic real-line term requires "
-                "a transform continuation above the real axis"
-            )
-        delta = _cubic_tilt(p.u0, t, config)
-        return _split_term(build, uhat, None, fam.line_split, delta, config)
-    return _split_term(build, uhat, sigma, fam.line_split, None, config)
+    return _initial_term(p, k, m, x, t, config, on_wedge=False)
 
 
 def _initial_wedge_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
-    fam = _FAMILIES[p.pde]
-    build = _integrand(fam, k, x, t, _decay(fam, m, x, t))
-    terms = _effective_terms(fam, k, m)
-    uhat, sigma = _transforms(p.u0, terms, config.tol)
-    split = fam.wedge_split
-
-    trivial = split is not None and _tail_expansion_trivial(p.u0, terms)
-    if trivial and p.u0.transform_upper_ok:
-        # no expansion to subtract; tilt the cubic wedge tails toward the
-        # real axis so the time factor decays, which takes the rotated
-        # arguments above the real axis and needs the upward continuation
-        delta = _cubic_tilt(p.u0, t, config)
-        return _split_term(build, fam.wedge_map(uhat), None, split, delta, config)
-    return _wedge_term(fam, build, uhat, sigma, config)
+    return _initial_term(p, k, m, x, t, config, on_wedge=True)
 
 
 def _boundary_term(
@@ -460,11 +409,14 @@ def _boundary_term(
 
 def _forcing(fam: _Family, p: ProblemSpec, k: int, m: int, x, t, config) -> tuple:
     """(build, uhat, sigma) of a forcing term: the grouped kernel of the
-    time factor tp and the transforms of the space factor xp."""
+    time factor tp, the transform of the space factor xp and its
+    large-lambda expansion."""
     xp, tp = p.f.factors
     build = _integrand(fam, k, x, t, _grouped(fam, tp, m, x, t, config.tol))
     terms = _effective_terms(fam, k, m)
-    return (build, *_transforms(xp, terms, config.tol))
+    uhat = lambda lam: half_line_fourier(xp, lam, config.tol)
+    sigma = lambda lam: tail_expansion(xp, terms, lam)
+    return build, uhat, sigma
 
 
 def _forcing_real_term(
@@ -472,14 +424,22 @@ def _forcing_real_term(
 ) -> QuadratureResult:
     fam = _FAMILIES[p.pde]
     build, uhat, sigma = _forcing(fam, p, k, m, x, t, config)
-    return _split_term(build, uhat, sigma, fam.line_split, None, config)
+    split = fam.line_split
+    return _split_term(build, uhat, sigma, split, split.expansion_tilt, config)
 
 
 def _forcing_wedge_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
+    """The forcing wedge term: whole on the rotated wedge (heat), or with
+    the mapped expansion subtracted over the wedge split (cubic)."""
     fam = _FAMILIES[p.pde]
-    return _wedge_term(fam, *_forcing(fam, p, k, m, x, t, config), config)
+    build, uhat, sigma = _forcing(fam, p, k, m, x, t, config)
+    split = fam.wedge_split
+    if split is None:
+        return integrate(build(fam.wedge_map(uhat)), fam.rotated, config.tol, config)
+    full, tail = fam.wedge_map(uhat, check_domain=True), fam.wedge_map(sigma)
+    return _split_term(build, full, tail, split, split.expansion_tilt, config)
 
 
 # ---------------------------------------------------------------------------

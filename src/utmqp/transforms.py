@@ -26,8 +26,8 @@ from the derivatives of u0 at the origin,
 
 whose subtraction leaves a remainder O(lam^-(M+1)); the forcing analogue
 ``forcing_tail_expansion`` does the same for fhat at fixed t.  These are
-the decay accelerators behind the terms that :mod:`utmqp.solvers`
-splits at |lambda| = 1.
+the decay accelerators behind the forcing terms, which
+:mod:`utmqp.solvers` splits at |lambda| = 1.
 
 A forcing is separable, f = xp(x) tp(t) (``ForcingProfile.factors``), so
 each forcing transform is a transform of xp -- uhat_xp or its tail

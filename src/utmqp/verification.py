@@ -10,13 +10,13 @@ the other checks probe the solver's own fields:
 * ``pde_residual``   -- centered finite-difference residual of any field.
 * ``boundary_recovery`` / ``decay_supremum`` / ``energy_trace`` -- probe
   the limit clauses, the uniform spatial decay, and the energy
-  dissipation identity that underpins uniqueness, the last with fluxes
-  from the representation's exact x-derivatives.
+  dissipation identity that underpins uniqueness, the last with dE/dt
+  and the fluxes from the representation's exact derivatives.
 
 Reports are plain dataclasses: measured magnitudes, thresholds, and a
 pass flag that is a pure function of the two.  The recovery probes and
-threshold and the energy identity's time step and slope point are module
-constants of the checks, not arguments.
+threshold and the energy identity's slope point are module constants of
+the checks, not arguments.
 """
 
 from __future__ import annotations
@@ -496,8 +496,6 @@ def _auto_upper_limit(p: ProblemSpec, t: float, config: SolverConfig) -> float:
     return upper
 
 
-# centred-difference step of dE/dt in energy_trace
-_ENERGY_DT = 1e-3
 # where energy_trace takes the kdv boundary slope: u_x(x) - u_x(0+) is
 # x u_xx(0+) + O(x^2), so the gap to the x = 0+ limit is linear in x
 _SLOPE_X = 1e-8
@@ -515,33 +513,34 @@ def energy_trace(
 
     cubic: dE/dt = -[U_x(0+, t)]^2    heat: dE/dt = -2 int_0^L U_x^2 dx
 
-    U_x is the representation's exact derivative (``solve_derivative``),
-    taken at x = ``_SLOPE_X`` for the cubic boundary slope; dE/dt is a
-    centred difference with step ``_ENERGY_DT``.  L is where U^2 x drops
+    U_x and U_t are the representation's exact derivatives
+    (``solve_derivative``): dE/dt = 2 int_0^L U U_t dx, with the cubic
+    boundary slope taken at x = ``_SLOPE_X``.  L is where U^2 x drops
     below 1e-10 at t = T.  Raises InvalidParameterError unless g0 and f
     are zero.
     """
     if not (p.g0.is_zero() and p.f.is_zero()):
         raise InvalidParameterError("energy_trace needs zero g0 and zero forcing")
-    dt = _ENERGY_DT
     ts = np.linspace(t_start, T, n_t)
     L = _auto_upper_limit(p, ts[-1], config)
     nodes, weights = _gauss_legendre(80)
     xs = 0.5 * L * (nodes + 1.0)
 
-    def energy(t: float) -> float:
-        vals = np.array([solve(p, x, t, config).value for x in xs])
-        return 0.5 * L * float(np.dot(weights, vals * vals))
+    def field(k: int, m: int, t: float) -> np.ndarray:
+        return np.array([solve_derivative(p, k, m, x, t, config).value for x in xs])
+
+    def integral(vals: np.ndarray) -> float:
+        return 0.5 * L * float(np.dot(weights, vals))
 
     energies, fluxes, dE, residuals = [], [], [], []
     for t in ts:
-        e = energy(t)
-        dedt = (energy(t + dt) - energy(t - dt)) / (2.0 * dt)
+        u = np.array([solve(p, x, t, config).value for x in xs])
+        e = integral(u * u)
+        dedt = 2.0 * integral(u * field(0, 1, t))
         if p.pde == "kdv":
             flux = solve_derivative(p, 1, 0, _SLOPE_X, t, config).value ** 2
         else:
-            wx = np.array([solve_derivative(p, 1, 0, x, t, config).value for x in xs])
-            flux = 2.0 * 0.5 * L * float(np.dot(weights, wx * wx))
+            flux = 2.0 * integral(field(1, 0, t) ** 2)
         energies.append(e)
         fluxes.append(flux)
         dE.append(dedt)

@@ -133,6 +133,22 @@ def test_forcing_terms_trace_their_transforms(pde):
             assert (term, name) in seen
 
 
+def test_only_forcing_terms_subtract_an_expansion():
+    # the kdv initial terms tilt their tails and subtract nothing, so an
+    # unforced solve reaches neither the tail expansion nor the remainder's
+    # envelope fit; the forcing terms still subtract
+    zero = builtin_profile("zero")
+    p = ProblemSpec("kdv", builtin_profile("exp_decay", a=1.0), zero, zero_forcing())
+    with tracing.Tracer(tracing.LAYER_TARGETS) as tracer:
+        solvers.solve(p, 1.5, 0.5)
+    unforced = {s.name for s in tracer.spans}
+    assert "quadrature.integrate" in unforced
+    assert not {"transforms.tail_expansion", "quadrature.envelope"} & unforced
+    _, _, tracer = traced_forced_solve("kdv")
+    forced = {s.name for s in tracer.spans}
+    assert {"transforms.tail_expansion", "quadrature.envelope"} <= forced
+
+
 def test_energy_trace_solves_nest_under_its_span():
     # verification.energy_trace.solves counts the solver spans below the
     # check's span; energy_trace must call the solver through the

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from utmqp import cli
 from utmqp.cli import main
-from utmqp.solvers import _tilted_far_contour
+from utmqp.solvers import _FAMILIES
 from utmqp.verification import VerificationReport
 
 HEAT_PROBLEM = {
@@ -244,13 +244,15 @@ class TestDumpCommands:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert [s["kind"] for s in payload["segments"]] == ["ray", "ray"]
-        # arcs serialise too: the far contour of the kdv line split
-        far = lambda: _tilted_far_contour(math.pi / 3, 2 * math.pi / 3, 2.0, 0.1)
-        monkeypatch.setattr(cli, "heat_contour", far)
+        # rays anchored off the origin serialise their start: the tilted
+        # tails of the kdv line split
+        tails = lambda: _FAMILIES["kdv"].line_split.tilted(0.1)
+        monkeypatch.setattr(cli, "heat_contour", tails)
         result = runner.invoke(main, ["dump-contour", "--name", "heat"])
         assert result.exit_code == 0
-        kinds = [s["kind"] for s in json.loads(result.output)["segments"]]
-        assert kinds == ["ray", "arc", "arc", "ray"]
+        segments = json.loads(result.output)["segments"]
+        assert [s["start"] for s in segments] == [[-1.0, 0.0], [1.0, 0.0]]
+        assert [s["angle"] for s in segments] == [math.pi - 0.1, 0.1]
 
     def test_dump_transform(self, runner, tmp_path):
         problem = write_problem(tmp_path, HEAT_PROBLEM)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from utmqp.contours import (
-    CircularArc,
     Contour,
+    LineSegment,
     Ray,
     heat_contour,
     indented_line,
@@ -21,15 +21,15 @@ SQRT3 = math.sqrt(3.0)
 
 
 def deformed_heat_contour():
-    """A literal contour holding all three segment kinds: the heat wedge
-    with its part inside the unit disk replaced by the unit arc from
-    exp(3i pi/4) to exp(i pi/4)."""
+    """A literal contour holding both segment kinds: the heat wedge with
+    its part below Im(lambda) = 1 replaced by the segment from -1 + i to
+    1 + i."""
     a = math.pi / 4.0
     return Contour(
         (
-            Ray(cmath.exp(3j * a), 3.0 * a, orientation=-1),
-            CircularArc(0j, 1.0, 3.0 * a, a),
-            Ray(cmath.exp(1j * a), a),
+            Ray(-1.0 + 1j, 3.0 * a, orientation=-1),
+            LineSegment(-1.0 + 1j, 1.0 + 1j),
+            Ray(1.0 + 1j, a),
         )
     )
 
@@ -86,21 +86,21 @@ class TestDeformedHeatContour:
         )
         assert mods.min() >= 1.0 - 1e-12
 
-    def test_arc_joins_the_two_rays_through_the_top(self):
-        # the arc sweeps its angle linearly from 3pi/4 down to pi/4, so it
-        # passes through i and never reaches the lower half-plane
-        arc = deformed_heat_contour().segments[1]
-        assert complex(arc.point(0.5)) == pytest.approx(1j)
-        assert np.all(arc.point(np.linspace(0, 1, 50)).imag > 0.7)
+    def test_segment_joins_the_two_rays_through_the_top(self):
+        # the segment runs left to right at height 1, so it passes
+        # through i and never reaches the lower half-plane
+        seg = deformed_heat_contour().segments[1]
+        assert complex(seg.point(0.5)) == pytest.approx(1j)
+        assert np.all(seg.point(np.linspace(0, 1, 50)).imag > 0.7)
 
-    def test_arc_samples_on_unit_circle(self):
-        arc = deformed_heat_contour().segments[1]
+    def test_segment_samples_on_the_line_im_one(self):
+        seg = deformed_heat_contour().segments[1]
         ss = np.linspace(0, 1, 50)
-        assert np.allclose(np.abs(arc.point(ss)), 1.0, atol=1e-14)
+        assert np.allclose(seg.point(ss).imag, 1.0, atol=1e-14)
 
     def test_connectivity(self):
         segs = deformed_heat_contour().segments
-        # inbound ray ends at its start point, which is the arc's start
+        # inbound ray ends at its start point, which is the segment's start
         assert segs[0].point(0.0) == pytest.approx(segs[1].point(0.0))
         assert segs[1].point(1.0) == pytest.approx(segs[2].point(0.0))
 
@@ -146,24 +146,18 @@ class TestSerialization:
         data = json.loads(factory().to_json())
         assert data["segments"]
         for seg in data["segments"]:
-            assert seg["kind"] in ("ray", "segment", "arc")
+            assert seg["kind"] in ("ray", "segment")
             assert seg["orientation"] in (-1, 1)
 
     def test_segment_fields(self):
         data = deformed_heat_contour().to_dict()
         kinds = [seg["kind"] for seg in data["segments"]]
-        assert kinds == ["ray", "arc", "ray"]
-        arc = data["segments"][1]
-        assert arc["radius"] == 1.0
+        assert kinds == ["ray", "segment", "ray"]
+        seg = data["segments"][1]
+        assert seg["start"] == [-1.0, 1.0] and seg["end"] == [1.0, 1.0]
 
 
 class TestSegments:
-    def test_arc_requires_positive_radius_and_nonempty_range(self):
-        with pytest.raises(InvalidParameterError):
-            CircularArc(0j, -1.0, 0.0, 1.0)
-        with pytest.raises(InvalidParameterError):
-            CircularArc(0j, 1.0, 0.5, 0.5)
-
     def test_parameterization_derivative_nonzero(self):
         for factory in (kdv_contour, heat_contour, deformed_heat_contour):
             for seg in factory():

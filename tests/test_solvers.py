@@ -286,21 +286,33 @@ class TestDerivatives:
     def test_exact_time_derivative_matches_centered_difference(self, pde):
         # u0, g0 and f all nonzero, so the one time-derivative rule is
         # checked on each of the five terms: the data terms' (-w) factor and
-        # d/dt G = g(t) - w G on the boundary and both forcing terms.  The
-        # kdv u_t remainder needs more than the default panels at 1e-12.
+        # d/dt G = g(t) - w G on the boundary and both forcing terms
         f = separable_forcing(
             builtin_profile("exp_decay", a=1.0), builtin_profile("sin_of_t", omega0=1.0)
         )
         q = exp_decay_problem(pde)
         p = ProblemSpec(pde, q.u0, q.g0, f)
-        cfg = dataclasses.replace(TIGHT, max_panels=100000)
         x, t, h = 1.0, 1.0, 1e-4
-        exact = solve_derivative(p, 0, 1, x, t, cfg).term_breakdown
-        ahead = solve(p, x, t + h, cfg).term_breakdown
-        behind = solve(p, x, t - h, cfg).term_breakdown
+        exact = solve_derivative(p, 0, 1, x, t, TIGHT).term_breakdown
+        ahead = solve(p, x, t + h, TIGHT).term_breakdown
+        behind = solve(p, x, t - h, TIGHT).term_breakdown
         assert all(term != 0 for term in exact)
         for d, a, b in zip(exact, ahead, behind):
             assert abs(d - (a - b) / (2.0 * h)) <= 1e-7
+
+    def test_kdv_slope_is_linear_near_the_boundary(self):
+        # u_x(x) - u_x(0+) = x u_xx(0+) + O(x^2): the gap to the x = 1e-8
+        # slope over x is the same at every x near the boundary
+        zero = builtin_profile("zero")
+        p = ProblemSpec(
+            "kdv", builtin_profile("x_times_gaussian", a=1.0), zero, zero_forcing()
+        )
+        edge = solve_derivative(p, 1, 0, 1e-8, 0.8).value
+        gaps = [
+            (solve_derivative(p, 1, 0, x, 0.8).value - edge) / x
+            for x in (1e-2, 1e-3, 1e-4)
+        ]
+        assert max(gaps) - min(gaps) <= 0.01 * abs(gaps[0])
 
     def test_space_derivative_matches_centered_difference(self):
         p = exp_decay_problem("kdv")
@@ -342,20 +354,61 @@ class TestDerivatives:
 
 class TestStabilizedTerm:
     def test_agreement_with_direct_route(self):
-        # the subtracted kdv real-line term against the Airy-kernel
-        # convolution, within the reported budget
+        # the tilted kdv real-line term against the Airy-kernel
+        # convolution, within the reported budget, out to large t
         zero = builtin_profile("zero")
         for u0 in (
             builtin_profile("exp_decay", a=1.0),
             builtin_profile("gaussian", a=1.0),
+            builtin_profile("x_times_gaussian", a=1.0),
             builtin_profile("bump", a=1.0, b=3.0),
         ):
             p = ProblemSpec("kdv", u0, zero, zero_forcing())
-            for x, t in [(2.0, 1.0), (0.1, 1e-2), (1.0, 1e-3), (5.0, 1.0)]:
+            for x, t in [
+                (2.0, 1.0), (0.1, 1e-2), (1.0, 1e-3), (5.0, 1.0),
+                (2.0, 10.0), (0.1, 20.0), (1.0, 50.0),
+            ]:
                 s = solve(p, x, t)
                 ref = airy_line_term(u0, x, t)
                 bound = 2.0 * math.pi * s.error_estimate + 1e-12
                 assert abs(s.term_breakdown[0] - ref) <= bound
+
+    @pytest.mark.parametrize("name", ["exp_decay", "gaussian", "x_times_gaussian"])
+    def test_cubic_initial_terms_do_not_depend_on_the_tilt(self, monkeypatch, name):
+        # the tilted tails are Cauchy-equivalent for every tilt in the
+        # decay sector: halving and quartering it moves both cubic initial
+        # terms by far less than their budgets
+        zero = builtin_profile("zero")
+        p = ProblemSpec("kdv", builtin_profile(name, a=1.0), zero, zero_forcing())
+        for x, t in [(1.0, 0.5), (0.1, 1e-2), (2.0, 10.0), (1e-3, 0.8)]:
+            for term in (solvers._initial_real_term, solvers._initial_wedge_term):
+                results = []
+                for delta in (math.pi / 12, math.pi / 24, math.pi / 48):
+                    monkeypatch.setattr(solvers, "_cubic_tilt", lambda u0, t, d=delta: d)
+                    results.append(term(p, 0, 0, x, t, DEFAULT_CONFIG))
+                base = results[0]
+                for r in results[1:]:
+                    budget = base.error_estimate + r.error_estimate
+                    assert abs(r.value - base.value) <= 1e-3 * budget
+
+    def test_tilt_reads_the_declared_growth(self):
+        # no probe: a datum without a support radius gets the full cubic
+        # rotation (a probe reads b ~ 54 for exp_decay), and a bump's
+        # declared radius caps the tilt at small t
+        full = _FAMILIES["kdv"].rotation
+        for name in ("exp_decay", "gaussian", "x_times_gaussian"):
+            assert solvers._cubic_tilt(builtin_profile(name, a=1.0), 1e-3) == full
+        assert solvers._cubic_tilt(builtin_profile("bump", a=0.0, b=10.0), 1e-3) < full
+
+    def test_non_continuable_datum_is_refused(self):
+        # the cubic initial terms leave the real axis; a datum whose
+        # transform does not continue there is out of their domain
+        u0 = dataclasses.replace(
+            builtin_profile("exp_decay", a=1.0), transform_upper_ok=False
+        )
+        zero = builtin_profile("zero")
+        with pytest.raises(OutOfDomainError):
+            solve(ProblemSpec("kdv", u0, zero, zero_forcing()), 1.0, 0.5)
 
     def test_heat_agreement_with_direct_route(self):
         # the heat line term is integrated directly on the real line at
