@@ -79,9 +79,14 @@ class LineSegment:
 
 @dataclass(frozen=True)
 class Contour:
-    """Ordered tuple of segments; disconnected unions are permitted."""
+    """Ordered tuple of segments; disconnected unions are permitted.
+
+    ``decaying`` marks a contour whose integrand decays exponentially
+    along every ray; :func:`utmqp.quadrature.integrate` integrates such
+    rays by its double-exponential trapezoid rule."""
 
     segments: tuple
+    decaying: bool = False
 
     def __iter__(self):
         return iter(self.segments)

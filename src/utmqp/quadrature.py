@@ -1,27 +1,40 @@
 """Adaptive contour quadrature.
 
 The engine integrates complex-valued integrands along the contours of
-:mod:`utmqp.contours` with a nested Gauss-Kronrod (G7, K15) pair per
-panel, bisecting the worst panels until the summed error estimate drops
-below the requested absolute tolerance.
+:mod:`utmqp.contours` by one of two rules, picked per contour:
 
-Two features matter for the integrands this package produces:
+* **Double-exponential trapezoid rule** on the rays of a contour marked
+  ``decaying``: the solver marks the pieces whose integrand decays
+  exponentially along every ray (the rotated wedges and the tails that
+  carry a subtracted expansion).  Each ray is mapped by
+  s = exp(u - e^{-u}) and summed by the trapezoid rule in u; the right
+  end is found by probing the mapped integrand, and the step halves on
+  nested nodes until two sums agree.  Phase that the decay has already
+  damped costs nothing, and the rule reaches as far along the ray as the
+  decay demands (to |lambda| ~ 1e8 at x = 1e-6).
 
-* **Oscillation-capped panels.**  Factors like e^{i lambda x - w(lambda) t}
-  oscillate arbitrarily fast along a contour.  An integrand may declare a
-  local phase-density |d(phase)/d(lambda)|; panels are pre-split so the
-  accumulated phase per panel stays below a cap, which keeps the G7/K15
-  error estimate honest without adaptive thrash.
+* **Adaptive Gauss-Kronrod** everywhere else (finite segments, the real
+  axis, and rays whose integrand decays slowly or only algebraically):
+  a nested (G7, K15) pair per panel, bisecting the worst panels until
+  the summed error estimate drops below the requested absolute
+  tolerance.  Two features matter for the integrands this package
+  produces:
 
-* **Principled ray truncation.**  Infinite rays are cut at a radius R
-  certified either from a caller-supplied decay envelope (tail integral
-  below tol/10) or by a probe-doubling fallback.
+  - Oscillation-capped panels.  Factors like e^{i lambda x - w(lambda) t}
+    oscillate arbitrarily fast along a contour.  An integrand may declare
+    a local phase-density |d(phase)/d(lambda)|; panels are pre-split so
+    the accumulated phase per panel stays below a cap, which keeps the
+    G7/K15 error estimate honest without adaptive thrash.
+  - Principled ray truncation.  Infinite rays are cut at a radius R
+    certified either from a caller-supplied decay envelope (tail
+    integral below tol/10) or by a probe-doubling fallback.
 
 Evaluators must be vectorized: they receive an ndarray of contour points
 and return an ndarray of integrand values.
 
-Determinism: panels are summed in contour order (segment by segment,
-ascending parameter), so repeated runs produce bit-identical results.
+Determinism: both rules sum in a fixed order (Gauss-Kronrod panels by
+ascending parameter, trapezoid nodes level by level), so repeated runs
+produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -318,11 +331,11 @@ def _integrate_segment(
         return _gk_panels(vals, vel, half)
 
     def result() -> QuadratureResult:
-        # panels summed in ascending parameter order, for determinism
+        # panels summed in ascending parameter order, for determinism; the
+        # estimate is floored at eps * mass, as K15 and G7 can agree exactly
         order = np.argsort(a, kind="stable")
-        return QuadratureResult(
-            complex(values[order].sum()), float(errors.sum()), evaluations
-        )
+        err = float(max(errors.sum(), np.finfo(float).eps * masses.sum()))
+        return QuadratureResult(complex(values[order].sum()), err, evaluations)
 
     a, b = _initial_panels(g, seg, s0, s1, cfg)
     values, errors, masses = evaluate(a, b)
@@ -383,18 +396,92 @@ def _integrate_segment(
     return result()
 
 
+# double-exponential rule on decaying rays: s = exp(u - e^{-u}) maps
+# u in [_DE_U0, hi] onto the ray; s(_DE_U0) ~ 1e-41
+_DE_U0 = -4.5
+# the right end hi steps by 1 from 0 until the weighted integrand is
+# below tol * _DE_CUTOFF at every hi + _DE_PROBES (three probes, so a zero
+# of an oscillating integrand cannot end the ray early); no cutoff by
+# _DE_U_MAX (s ~ 2e17) means the integrand does not decay
+_DE_CUTOFF = 1e-3
+_DE_PROBES = np.array([0.0, 0.25, 0.5])
+_DE_U_MAX = 40
+# the step halves from _DE_H0; a halving difference counts only once
+# the step is below _DE_H_CONVERGED, and _DE_LEVELS halvings is the cap
+_DE_H0 = 0.5
+_DE_H_CONVERGED = 0.2
+_DE_LEVELS = 9
+
+
+def _de_ray(g: Integrand, ray: Ray, tol: float) -> QuadratureResult:
+    """Integral of ``g`` along ``ray`` by the trapezoid rule in u with
+    s = exp(u - e^{-u}), for integrands that decay exponentially in s
+    (Takahasi & Mori, Publ. RIMS 9, 1974; Trefethen & Weideman, SIAM
+    Rev. 56, 2014).
+
+    The step halves on nested nodes until two sums differ by less than
+    ``tol``, or by less than the roundoff floor 250 eps * mass (mass the
+    sum of |integrand| * step) that also stops Gauss-Kronrod.  The error
+    estimate is that difference, floored at eps * mass so it is never 0,
+    plus the weighted integrand at the cutoff, which bounds the tail."""
+    evaluations = 0
+
+    def weighted(u: np.ndarray) -> np.ndarray:
+        nonlocal evaluations
+        s = np.exp(u - np.exp(-u))
+        vals = g(ray.point(s)) * ray.velocity(s) * (s * (1.0 + np.exp(-u)))
+        evaluations += u.size
+        if not np.all(np.isfinite(vals)):
+            raise InvalidContourError(
+                "integrand is not finite on the contour (singular point hit?)"
+            )
+        return vals
+
+    for hi in range(_DE_U_MAX + 1):
+        tail = float(np.abs(weighted(hi + _DE_PROBES)).max())
+        if tail < tol * _DE_CUTOFF:
+            break
+    else:
+        raise TruncationError(
+            f"double-exponential rule found no cutoff by u = {_DE_U_MAX}"
+        )
+
+    h = _DE_H0
+    vals = weighted(np.arange(_DE_U0, hi + 0.5 * h, h))
+    total, mass = vals.sum(), np.abs(vals).sum()
+    value = h * total
+    for _ in range(_DE_LEVELS):
+        coarse = value
+        h *= 0.5
+        vals = weighted(np.arange(_DE_U0 + h, hi, 2.0 * h))
+        total, mass = total + vals.sum(), mass + np.abs(vals).sum()
+        value = h * total
+        diff = float(abs(value - coarse))
+        eps_mass = float(np.finfo(float).eps * h * mass)
+        best = QuadratureResult(complex(value), max(diff, eps_mass) + tail, evaluations)
+        if h < _DE_H_CONVERGED and (diff < tol or diff <= 250.0 * eps_mass):
+            return best
+    raise AccuracyError(
+        f"double-exponential rule did not converge in {_DE_LEVELS} halvings "
+        f"(err {best.error_estimate:.3e} > tol {tol:.3e})",
+        best=best,
+    )
+
+
 def integrate(
     g: Integrand,
     contour: Contour,
     tol: float | None = None,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> QuadratureResult:
-    """Integrate ``g`` along ``contour`` to absolute tolerance ``tol``.
+    """Integrate ``g`` along ``contour`` to absolute tolerance ``tol``,
+    split evenly over its segments: the rays of a ``decaying`` contour by
+    the double-exponential rule, every other segment by Gauss-Kronrod.
 
     Raises AccuracyError (carrying the best estimate) if the subdivision
-    budget is exhausted, InvalidContourError if the integrand is not finite
-    at a quadrature node, TruncationError if an infinite ray cannot be
-    truncated.
+    budget or the halving cap is exhausted, InvalidContourError if the
+    integrand is not finite at a quadrature node, TruncationError if an
+    infinite ray cannot be truncated.
     """
     tol = config.tol if tol is None else tol
     if not contour.segments:
@@ -404,10 +491,12 @@ def integrate(
     total = ZERO_RESULT
     for seg in contour.segments:
         if seg.finite:
-            s0, s1 = 0.0, 1.0
+            part = _integrate_segment(g, seg, 0.0, 1.0, seg_tol, config)
+        elif contour.decaying:
+            part = _de_ray(g, seg, seg_tol)
         else:
-            s0, s1 = 0.0, ray_truncation(g, seg, seg_tol)
-        part = _integrate_segment(g, seg, s0, s1, seg_tol, config)
+            r = ray_truncation(g, seg, seg_tol)
+            part = _integrate_segment(g, seg, 0.0, r, seg_tol, config)
         part = QuadratureResult(
             seg.orientation * part.value, part.error_estimate, part.evaluations
         )

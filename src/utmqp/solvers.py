@@ -32,8 +32,10 @@ Each term is integrated where its integrand genuinely decays:
 * Boundary terms and every heat wedge term stay bounded as the wedge
   rotates toward the real axis (the reflected argument -lam remains in
   the transforms' lower half-plane), so they are integrated whole on the
-  rotated wedge.  The heat initial real-line term is integrated directly
-  on the real line (its Gaussian factor decays).
+  rotated wedge, where they decay exponentially: the contour is marked
+  ``decaying`` and integrate() takes its double-exponential rule.  The
+  heat initial real-line term is integrated directly on the real line
+  (its Gaussian factor decays).
 
 * The other terms split at |lam| = 1, the split held as data (``_Split``)
   and integrated by the one builder ``_split_term``: a central piece
@@ -47,14 +49,15 @@ Each term is integrated where its integrand genuinely decays:
   forcing terms subtract sigma, the M-term large-lambda expansion of the
   transform: the untilted tails carry K (S - sigma) = O(lam^{-M-1}), and
   K sigma goes onto tails tilted by a fixed angle, where e^{i lam x} and
-  the time factor decay.
+  the time factor decay exponentially (the double-exponential rule again).
+  The other pieces are integrated by adaptive Gauss-Kronrod.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -142,21 +145,23 @@ class _Split:
     """The pieces of a term split at |lambda| = 1: ``central``, and
     ``tilted(delta)``, the tails from the two unit points turned by
     ``delta`` into the sector where the kernel decays (``tilted(0)`` runs
-    along the untilted contour).  A subtracted expansion goes onto the
-    tails at the fixed tilt ``expansion_tilt``."""
+    along the untilted contour).  A subtracted expansion goes onto
+    ``expansion``, the tails at a fixed tilt, where the expansion's
+    integrand decays exponentially (marked ``decaying``)."""
 
     central: Contour
     tilted: Callable[[float], Contour]
-    expansion_tilt: float
+    expansion: Contour
 
 
 def _line_split(expansion_tilt: float) -> _Split:
     """The real line: [-1, 1] and the tails from -1 and 1, tilted up."""
     left, right = -1.0 + 0j, 1.0 + 0j
+    tilted = lambda d: _tails(left, math.pi - d, right, d)
     return _Split(
         central=Contour((LineSegment(left, right),)),
-        tilted=lambda d: _tails(left, math.pi - d, right, d),
-        expansion_tilt=expansion_tilt,
+        tilted=tilted,
+        expansion=replace(tilted(expansion_tilt), decaying=True),
     )
 
 
@@ -164,10 +169,11 @@ def _wedge_split(thr: float, thl: float, rotation: float) -> _Split:
     """The wedge: its part inside the unit disk, and the tails from its
     unit points, tilted toward the real axis."""
     left, right = cmath.exp(1j * thl), cmath.exp(1j * thr)
+    tilted = lambda d: _tails(left, thl + d, right, thr - d)
     return _Split(
         central=Contour((LineSegment(left, 0j), LineSegment(0j, right))),
-        tilted=lambda d: _tails(left, thl + d, right, thr - d),
-        expansion_tilt=rotation,
+        tilted=tilted,
+        expansion=replace(tilted(rotation), decaying=True),
     )
 
 
@@ -206,7 +212,8 @@ class _Family:
     """What the five terms of one PDE family need.  ``w`` is the rate of
     the time factor e^{-w(lam) t}, ``dw`` its lambda-derivative (for the
     phase density) and ``order`` its degree.  ``rotated`` is the wedge
-    tilted by ``rotation`` toward the real axis.  ``wedge_split`` is None
+    tilted by ``rotation`` toward the real axis, marked ``decaying``: every
+    integrand put on it decays exponentially.  ``wedge_split`` is None
     for heat, whose time factor decays on the real axis: its initial
     real-line term is integrated directly and its wedge terms whole on
     ``rotated`` (see the module docstring)."""
@@ -228,7 +235,10 @@ def _family(wedge, rotation, split_wedge, **fields) -> _Family:
     expansion on tails parallel to the rays of the rotated wedge."""
     thl, thr = (ray.angle for ray in wedge)
     return _Family(
-        rotation=rotation, rotated=contours.ray_pair(thl + rotation, thr - rotation),
+        rotation=rotation,
+        rotated=replace(
+            contours.ray_pair(thl + rotation, thr - rotation), decaying=True
+        ),
         line_split=_line_split(thr - rotation),
         wedge_split=_wedge_split(thr, thl, rotation) if split_wedge else None,
         **fields,
@@ -313,13 +323,13 @@ def _split_term(
     full: Callable,
     tail: Callable | None,
     split: _Split,
-    delta: float,
+    tails: Contour,
     config: SolverConfig,
 ) -> QuadratureResult:
-    """One term over ``split``: ``full`` on the central piece and on the
-    tails tilted by ``delta``.  Given an expansion ``tail`` of ``full``,
-    the untilted tails carry the remainder ``full - tail`` and only
-    ``tail`` goes onto the tilted tails."""
+    """One term over ``split``: ``full`` on the central piece and on
+    ``tails``.  Given an expansion ``tail`` of ``full``, the untilted
+    tails carry the remainder ``full - tail`` and only ``tail`` goes onto
+    ``tails``."""
     g = build(full)
     pieces = [(g, split.central)]
     if tail is not None:
@@ -329,7 +339,7 @@ def _split_term(
         rem.decay_envelope = power_law_envelope(rem, remainder.segments[1])
         pieces.append((rem, remainder))
         g = build(tail)
-    pieces.append((g, split.tilted(delta)))
+    pieces.append((g, tails))
     # each piece is integrated to the full term tolerance; the reported
     # error estimate is the (conservative) sum over pieces
     return sum((integrate(g, c, config.tol, config) for g, c in pieces), ZERO_RESULT)
@@ -384,7 +394,8 @@ def _initial_term(
         whole = fam.rotated if on_wedge else contours.real_line()
         return integrate(build(uhat), whole, config.tol, config)
     split = fam.wedge_split if on_wedge else fam.line_split
-    return _split_term(build, uhat, None, split, _cubic_tilt(p.u0, t), config)
+    tails = split.tilted(_cubic_tilt(p.u0, t))
+    return _split_term(build, uhat, None, split, tails, config)
 
 
 def _initial_real_term(
@@ -425,7 +436,7 @@ def _forcing_real_term(
     fam = _FAMILIES[p.pde]
     build, uhat, sigma = _forcing(fam, p, k, m, x, t, config)
     split = fam.line_split
-    return _split_term(build, uhat, sigma, split, split.expansion_tilt, config)
+    return _split_term(build, uhat, sigma, split, split.expansion, config)
 
 
 def _forcing_wedge_term(
@@ -439,7 +450,7 @@ def _forcing_wedge_term(
     if split is None:
         return integrate(build(fam.wedge_map(uhat)), fam.rotated, config.tol, config)
     full, tail = fam.wedge_map(uhat, check_domain=True), fam.wedge_map(sigma)
-    return _split_term(build, full, tail, split, split.expansion_tilt, config)
+    return _split_term(build, full, tail, split, split.expansion, config)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,22 @@ def test_only_forcing_terms_subtract_an_expansion():
     assert {"transforms.tail_expansion", "quadrature.envelope"} <= forced
 
 
+def test_boundary_term_traces_its_evaluations_without_truncation():
+    # the boundary term's rays are integrated by integrate's double-
+    # exponential rule, which finds its own cutoff: the integrate spans
+    # keep their evaluation counts and no ray_truncation span appears
+    zero = builtin_profile("zero")
+    p = ProblemSpec("kdv", zero, builtin_profile("constant", c=1.0), zero_forcing())
+    tracer = tracing.Tracer(tracing.LAYER_TARGETS)
+    tracer.label_terms = True
+    with tracer:
+        solvers.solve_derivative(p, 1, 0, 1e-5, 0.5)
+    integ = [s for s in tracer.spans if s.name == "quadrature.integrate"]
+    assert integ and all(s.attrs["term"] == "boundary" for s in integ)
+    assert all(s.attrs["evals"] > 0 for s in integ)
+    assert not [s for s in tracer.spans if s.name == "quadrature.truncation"]
+
+
 def test_energy_trace_solves_nest_under_its_span():
     # verification.energy_trace.solves counts the solver spans below the
     # check's span; energy_trace must call the solver through the

@@ -137,6 +137,21 @@ class TestRotatedWedges:
             (0j, 2.356194490192345, -1), (0j, 0.7853981633974483, 1)
         ]
 
+    @pytest.mark.parametrize("pde", ["heat", "kdv"])
+    def test_only_exponentially_decaying_pieces_are_marked(self, pde):
+        # the rotated wedge and the expansion tails take the double-
+        # exponential rule; the central pieces, the remainder tails and the
+        # kdv initial tilted tails stay with Gauss-Kronrod
+        fam = _FAMILIES[pde]
+        assert fam.rotated.decaying
+        for split in (fam.line_split, fam.wedge_split):
+            if split is None:
+                continue
+            assert split.expansion.decaying
+            assert not split.central.decaying
+            assert not split.tilted(0.0).decaying
+            assert not split.tilted(math.pi / 24).decaying
+
 
 class TestSerialization:
     @pytest.mark.parametrize(

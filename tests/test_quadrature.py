@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from utmqp.contours import (
 )
 from utmqp.errors import AccuracyError, InvalidContourError, TruncationError
 from utmqp.quadrature import (
+    _DE_LEVELS,
     _ENVELOPE_PROBES,
     Integrand,
     integrate,
@@ -39,6 +41,14 @@ class TestBasicIntegrals:
         assert res.value == pytest.approx(math.sqrt(math.pi), abs=1e-9)
         assert res.error_estimate <= 1e-9
         assert res.evaluations > 0
+
+    def test_estimate_is_never_zero(self):
+        # K15 and G7 agree bit for bit on e^lam over [0, 1]; the estimate
+        # keeps the roundoff floor of the panel's mass
+        g = Integrand(evaluator=lambda lam: np.exp(lam))
+        res = integrate(g, Contour((LineSegment(0j, 1.0 + 0j),)), TOL)
+        assert 0.0 < res.error_estimate < 1e-15
+        assert abs(res.value - (math.e - 1.0)) <= res.error_estimate
 
     def test_empty_contour(self):
         res = integrate(gaussian_integrand(), Contour(()), TOL)
@@ -161,6 +171,88 @@ class TestRayTruncation:
         g = Integrand(evaluator=lambda lam: np.exp(1j * np.abs(lam)))
         with pytest.raises(TruncationError):
             ray_truncation(g, Ray(0j, 0.1), 1e-8, r_max=1e4)
+
+
+def decaying(*rays):
+    return Contour(rays, decaying=True)
+
+
+class TestDoubleExponentialRays:
+    @pytest.mark.parametrize("angle", [0.3, math.pi / 4, -0.5])
+    def test_exponential_on_tilted_ray(self, angle):
+        # int_0^{inf e^{i angle}} e^{-a lam} dlam = 1/a wherever it decays
+        a = 2.0 - 1.0j
+        g = Integrand(lambda lam: np.exp(-a * lam))
+        res = integrate(g, decaying(Ray(0j, angle)), 1e-12)
+        assert abs(res.value - 1.0 / a) <= 1e-13
+
+    def test_slow_oscillatory_decay_from_a_unit_point(self):
+        # int_1^{1 + inf e^{i pi/4}} e^{i lam x} dlam = i e^{ix} / x: at
+        # x = 1e-3 the ray must reach |lam| ~ 5e4 before the cutoff
+        x = 1e-3
+        g = Integrand(lambda lam: np.exp(1j * lam * x))
+        res = integrate(g, decaying(Ray(1.0 + 0j, math.pi / 4)), 1e-10)
+        assert abs(res.value - 1j * cmath.exp(1j * x) / x) <= 1e-10
+
+    def test_gaussian_on_tilted_ray_pair(self):
+        # the real line's Gaussian integral on rays tilted by pi/8, with
+        # the inbound ray's orientation
+        g = Integrand(lambda lam: np.exp(-lam * lam))
+        wedge = ray_pair(math.pi - math.pi / 8, math.pi / 8)
+        res = integrate(g, decaying(*wedge), 1e-12)
+        assert abs(res.value - math.sqrt(math.pi)) <= 1e-13
+
+    def test_cutoff_probe_landing_on_a_zero(self):
+        # the integrand vanishes at the first probe s = e^{-1} (u = 0); a
+        # single probe there would cut the ray at |lam| ~ 0.37
+        c = math.exp(-1.0)
+        g = Integrand(lambda lam: (lam - c) * np.exp(-lam / 10.0))
+        res = integrate(g, decaying(Ray(0j, 0.0)), 1e-10)
+        assert abs(res.value - (100.0 - 10.0 * c)) <= 1e-10
+
+    def test_non_decaying_integrand_finds_no_cutoff(self):
+        g = Integrand(lambda lam: np.exp(1j * lam))
+        with pytest.raises(TruncationError):
+            integrate(g, decaying(Ray(0j, 0.0)), 1e-8)
+
+    def test_level_cap_carries_best_estimate(self):
+        # a pole 1e-3 off the ray: the step never resolves it
+        g = Integrand(lambda lam: np.exp(-lam) / (lam - (1.0 + 1e-3j)))
+        with pytest.raises(AccuracyError, match=f"{_DE_LEVELS} halvings") as info:
+            integrate(g, decaying(Ray(0j, 0.0)), 1e-12)
+        best = info.value.best
+        assert best is not None and best.evaluations > 0
+        assert best.error_estimate > 1e-12
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize("omega", [1.0, 10.0, 30.0])
+    def test_estimate_is_positive_and_covers_the_error(self, omega, tol):
+        # int_0^inf e^{-lam} cos(omega lam) dlam = 1 / (1 + omega^2)
+        g = Integrand(lambda lam: np.exp(-lam) * np.cos(omega * lam))
+        res = integrate(g, decaying(Ray(0j, 0.0)), tol)
+        error = abs(res.value - 1.0 / (1.0 + omega * omega))
+        assert 0.0 < res.error_estimate <= tol
+        assert error <= res.error_estimate
+
+    def test_estimate_covers_the_cut_off_tail(self):
+        # at a loose tol the cutoff drops more than the halving difference
+        # sees; int_0^inf e^{-lam} / (lam + 1) dlam = e E1(1), the Gompertz
+        # constant
+        g = Integrand(lambda lam: np.exp(-lam) / (lam + 1.0))
+        res = integrate(g, decaying(Ray(0j, 0.0)), 1e-3)
+        assert abs(res.value - 0.5963473623231940743) <= res.error_estimate
+
+    def test_only_marked_contours_use_the_rule(self):
+        # the same ray, marked or not, gives the same integral by two rules
+        g = Integrand(
+            lambda lam: np.exp(-lam * lam),
+            decay_envelope=lambda s: math.exp(-s * s + 2 * s),
+        )
+        ray = Ray(0j, 0.1)
+        de = integrate(g, decaying(ray), 1e-12)
+        gk = integrate(g, Contour((ray,)), 1e-12)
+        assert abs(de.value - gk.value) <= 1e-12
+        assert de.evaluations != gk.evaluations
 
 
 class TestFailureModes:

@@ -524,11 +524,16 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="finite"):
             solve(exp_decay_problem("heat"), x, t)
 
-    def test_truncation_error_names_term_and_point(self):
+    def test_truncation_error_names_term_and_point(self, monkeypatch):
+        def undecaying(*args, **kwargs):
+            raise TruncationError("no cutoff")
+
+        zero = builtin_profile("zero")
+        p = ProblemSpec("heat", zero, builtin_profile("exp_of_t", a=-1.0), zero_forcing())
+        monkeypatch.setattr(solvers, "integrate", undecaying)
         with pytest.raises(TruncationError) as info:
-            solve(exp_decay_problem("heat"), 1e-4, 0.5)
-        assert "_boundary_term" in str(info.value)
-        assert "0.0001" in str(info.value)
+            solve(p, 1e-4, 0.5)
+        assert str(info.value) == "_boundary_term at (x, t) = (0.0001, 0.5): no cutoff"
 
     def test_accuracy_error_keeps_its_best_estimate(self, monkeypatch):
         best = object()
@@ -541,6 +546,53 @@ class TestValidation:
             solve(exp_decay_problem("kdv"), 1.0, 0.5)
         assert info.value.best is best
         assert str(info.value).startswith("_initial_real_term at (x, t) = (1.0, 0.5)")
+
+
+class TestDoubleExponentialPieces:
+    """The boundary term and the forcing expansion tails, integrated by
+    the double-exponential rule.  Down to x = 1e-6 the boundary term
+    decays only like e^{-x |lam| sin(theta)} / |lam| on the rotated
+    wedge; the rule finds its cutoff there."""
+
+    @pytest.mark.parametrize("x", [1e-4, 1e-5, 1e-6])
+    def test_heat_matches_oracle_and_kdv_solves(self, x):
+        from utmqp.verification import heat_oracle
+
+        p = exp_decay_problem("heat")
+        assert abs(solve(p, x, 0.5).value - heat_oracle(p, x, 0.5)) <= 1e-12
+        s = solve(exp_decay_problem("kdv"), x, 0.5)
+        # both fields tend to g0(0.5) = e^{-0.5} as x -> 0+
+        assert abs(s.value - math.exp(-0.5)) <= 1e-4
+        assert s.error_estimate <= DEFAULT_CONFIG.tol
+
+    @pytest.mark.parametrize(
+        "k,x,t", [(0, 0.0693, 0.576), (0, 0.1427, 0.0819), (1, 0.3318, 0.0328)]
+    )
+    def test_kdv_step_estimate_covers_the_tight_solve(self, k, x, t):
+        # the step datum's boundary term alone: its default solve must lie
+        # within its own estimate of the tol-1e-12 solve (Gauss-Kronrod
+        # reports ~3e-16 here against a 2e-13 difference)
+        p = ProblemSpec(
+            "kdv", builtin_profile("zero"), builtin_profile("constant", c=1.0),
+            zero_forcing(),
+        )
+        s = solve_derivative(p, k, 0, x, t)
+        tight = solve_derivative(p, k, 0, x, t, TIGHT)
+        assert abs(s.value - tight.value) <= s.error_estimate
+
+    def test_generic_time_forcing_near_the_boundary_is_cheap(self):
+        # kdv forcing exp_decay(1) x gaussian(1) in t at (0.2, 1) takes
+        # ~57k evaluations; Gauss-Kronrod on its boundary term and forcing
+        # expansion tails takes ~955k (15 s)
+        f = separable_forcing(
+            builtin_profile("exp_decay", a=1.0), builtin_profile("gaussian", a=1.0)
+        )
+        p = ProblemSpec(
+            "kdv", builtin_profile("exp_decay", a=1.0),
+            builtin_profile("exp_of_t", a=-1.0), f,
+        )
+        terms = solvers._raw_terms(p, 0, 0, 0.2, 1.0, DEFAULT_CONFIG)
+        assert sum(r.evaluations for r in terms) < 150_000
 
 
 class TestGridSweep:
