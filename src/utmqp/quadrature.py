@@ -8,10 +8,10 @@ The engine integrates complex-valued integrands along the contours of
   exponentially along every ray (the rotated wedges and the tails that
   carry a subtracted expansion).  Each ray is mapped by
   s = exp(u - e^{-u}) and summed by the trapezoid rule in u; the right
-  end is found by probing the mapped integrand, and the step halves on
-  nested nodes until two sums agree.  Phase that the decay has already
-  damped costs nothing, and the rule reaches as far along the ray as the
-  decay demands (to |lambda| ~ 1e8 at x = 1e-6).
+  end is found by probing the mapped integrand past its peak, and the
+  step halves on nested nodes until two sums agree.  Phase that the
+  decay has already damped costs nothing, and the rule reaches as far
+  along the ray as the decay demands (to |lambda| ~ 1e8 at x = 1e-6).
 
 * **Adaptive Gauss-Kronrod** everywhere else (finite segments, the real
   axis, and rays whose integrand decays slowly or only algebraically):
@@ -401,8 +401,9 @@ def _integrate_segment(
 _DE_U0 = -4.5
 # the right end hi steps by 1 from 0 until the weighted integrand is
 # below tol * _DE_CUTOFF at every hi + _DE_PROBES (three probes, so a zero
-# of an oscillating integrand cannot end the ray early); no cutoff by
-# _DE_U_MAX (s ~ 2e17) means the integrand does not decay
+# of an oscillating integrand cannot end the ray early) and past its
+# peak; no cutoff by _DE_U_MAX (s ~ 2e17) means the integrand does not
+# decay
 _DE_CUTOFF = 1e-3
 _DE_PROBES = np.array([0.0, 0.25, 0.5])
 _DE_U_MAX = 40
@@ -437,10 +438,16 @@ def _de_ray(g: Integrand, ray: Ray, tol: float) -> QuadratureResult:
             )
         return vals
 
+    # the weighted integrand tends to 0 as s -> 0 and may rise from there
+    # far below the threshold (heat's boundary term at small t grows like
+    # |lam|^2 t until |lam|^2 t ~ 1): a cutoff counts only once the probes
+    # are no larger than the largest before them, i.e. past the peak
+    peak = 0.0
     for hi in range(_DE_U_MAX + 1):
         tail = float(np.abs(weighted(hi + _DE_PROBES)).max())
-        if tail < tol * _DE_CUTOFF:
+        if tail < tol * _DE_CUTOFF and tail <= peak:
             break
+        peak = max(peak, tail)
     else:
         raise TruncationError(
             f"double-exponential rule found no cutoff by u = {_DE_U_MAX}"

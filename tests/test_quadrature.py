@@ -210,6 +210,14 @@ class TestDoubleExponentialRays:
         res = integrate(g, decaying(Ray(0j, 0.0)), 1e-10)
         assert abs(res.value - (100.0 - 10.0 * c)) <= 1e-10
 
+    def test_cutoff_waits_for_a_rising_integrand(self):
+        # eps lam e^{-lam / L} sits far below the cutoff threshold at the
+        # first probes and peaks only near |lam| ~ L; its integral is eps L^2
+        eps, scale = 1e-20, 1e6
+        g = Integrand(lambda lam: eps * lam * np.exp(-lam / scale))
+        res = integrate(g, decaying(Ray(0j, 0.0)), 1e-10)
+        assert abs(res.value - eps * scale**2) <= 1e-10
+
     def test_non_decaying_integrand_finds_no_cutoff(self):
         g = Integrand(lambda lam: np.exp(1j * lam))
         with pytest.raises(TruncationError):

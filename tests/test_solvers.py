@@ -565,6 +565,21 @@ class TestDoubleExponentialPieces:
         assert abs(s.value - math.exp(-0.5)) <= 1e-4
         assert s.error_estimate <= DEFAULT_CONFIG.tol
 
+    @pytest.mark.parametrize("c,x,t", [(1.0, 1e-6, 1e-13), (1e-4, 1e-4, 1e-9)])
+    def test_heat_step_datum_at_small_t(self, c, x, t):
+        # g0 = c gives c erfc(x / 2 sqrt(t)); at small t the boundary
+        # integrand grows like c |lam|^2 t far below the cutoff threshold
+        # before it peaks near |lam| ~ 1/sqrt(t), so the ray must not be
+        # cut on its way up
+        p = ProblemSpec(
+            "heat", builtin_profile("zero"), builtin_profile("constant", c=c),
+            zero_forcing(),
+        )
+        s = solve(p, x, t)
+        exact = c * erfc(x / (2.0 * math.sqrt(t)))
+        assert abs(s.value - exact) <= 1e-12
+        assert s.error_estimate <= DEFAULT_CONFIG.tol
+
     @pytest.mark.parametrize(
         "k,x,t", [(0, 0.0693, 0.576), (0, 0.1427, 0.0819), (1, 0.3318, 0.0328)]
     )
