@@ -4,7 +4,7 @@ The tolerance and panel budget that callers tune per run live here so
 the CLI can surface them as flags and test code can tighten them
 locally; ``threads`` is the grid sweeps' worker count.  Everything else
 is fixed by the method and lives as a constant with its user: the
-contour geometry, the expansion length and the derivative-order cap in
+contour geometry, the tilt cap and the derivative-order cap in
 :mod:`utmqp.solvers`, the phase cap per panel, the ray-truncation cap and
 the double-exponential rule's cutoff and step schedule in
 :mod:`utmqp.quadrature`.

@@ -5,8 +5,8 @@ The engine integrates complex-valued integrands along the contours of
 
 * **Double-exponential trapezoid rule** on the rays of a contour marked
   ``decaying``: the solver marks the pieces whose integrand decays
-  exponentially along every ray (the rotated wedges and the tails that
-  carry a subtracted expansion).  Each ray is mapped by
+  exponentially along every ray (the rotated wedges and the tilted tails
+  of the forcing terms).  Each ray is mapped by
   s = exp(u - e^{-u}) and summed by the trapezoid rule in u; the right
   end is found by probing the mapped integrand past its peak, and the
   step halves on nested nodes until two sums agree.  Phase that the

@@ -45,12 +45,14 @@ Each term is integrated where its integrand genuinely decays:
   e^{-w t} decays (up off the real line, down off the wedge), which the
   continuation of the transform above the real axis permits; the tilt is
   capped so a compact-support transform's growth never outruns the
-  decay.  A forcing kernel decays only algebraically in lam, so the
-  forcing terms subtract sigma, the M-term large-lambda expansion of the
-  transform: the untilted tails carry K (S - sigma) = O(lam^{-M-1}), and
-  K sigma goes onto tails tilted by a fixed angle, where e^{i lam x} and
-  the time factor decay exponentially (the double-exponential rule again).
-  The other pieces are integrated by adaptive Gauss-Kronrod.
+  decay.  A forcing kernel decays only algebraically in lam on the axis,
+  but on tails tilted by a fixed angle e^{i lam x} decays exponentially
+  and the grouped time factor stays bounded (Re w > 0), so the forcing
+  terms put their whole integrand there (the double-exponential rule
+  again) when the space factor's transform continues above the axis
+  without outgrowing e^{i lam x}; a compact-support factor reaching past
+  x keeps the untilted tails.  The other pieces are integrated by
+  adaptive Gauss-Kronrod.
 """
 
 from __future__ import annotations
@@ -73,24 +75,16 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .profiles import DataProfile, ProblemSpec
-from .quadrature import (
-    Integrand,
-    QuadratureResult,
-    ZERO_RESULT,
-    integrate,
-    power_law_envelope,
-)
-from .transforms import (
-    grouped_time_transform,
-    half_line_fourier,
-    tail_expansion,
-)
+from .quadrature import Integrand, QuadratureResult, ZERO_RESULT, integrate
+from .transforms import grouped_time_transform, half_line_fourier
 # unused here; bench/tracing.py patches these names on utmqp.solvers
+from .quadrature import power_law_envelope  # noqa: F401
 from .transforms import (  # noqa: F401
     forcing_tail_expansion,
     forcing_transform,
     grouped_forcing_tail_time_transform,
     grouped_forcing_time_transform,
+    tail_expansion,
 )
 
 
@@ -117,10 +111,6 @@ class FieldSample:
 # cap on k + order*m for derivative evaluation
 _MAX_ORDER = 8
 
-# terms of the large-lambda expansions subtracted from the half-line
-# transforms, before the derivative orders raise the count
-_TAIL_TERMS = 6
-
 # the growth e^_TILT_CAP a tilted transform may gain over the cubic
 # time factor (see _cubic_tilt)
 _TILT_CAP = 12.0
@@ -145,23 +135,24 @@ class _Split:
     """The pieces of a term split at |lambda| = 1: ``central``, and
     ``tilted(delta)``, the tails from the two unit points turned by
     ``delta`` into the sector where the kernel decays (``tilted(0)`` runs
-    along the untilted contour).  A subtracted expansion goes onto
-    ``expansion``, the tails at a fixed tilt, where the expansion's
-    integrand decays exponentially (marked ``decaying``)."""
+    along the untilted contour).  ``forcing_tails`` are the tails at a
+    fixed tilt, where e^{i lam x} and the grouped time factor both decay
+    exponentially (marked ``decaying``): a forcing integrand goes onto
+    them whole when its space factor's transform continues there."""
 
     central: Contour
     tilted: Callable[[float], Contour]
-    expansion: Contour
+    forcing_tails: Contour
 
 
-def _line_split(expansion_tilt: float) -> _Split:
+def _line_split(forcing_tilt: float) -> _Split:
     """The real line: [-1, 1] and the tails from -1 and 1, tilted up."""
     left, right = -1.0 + 0j, 1.0 + 0j
     tilted = lambda d: _tails(left, math.pi - d, right, d)
     return _Split(
         central=Contour((LineSegment(left, right),)),
         tilted=tilted,
-        expansion=replace(tilted(expansion_tilt), decaying=True),
+        forcing_tails=replace(tilted(forcing_tilt), decaying=True),
     )
 
 
@@ -173,7 +164,7 @@ def _wedge_split(thr: float, thl: float, rotation: float) -> _Split:
     return _Split(
         central=Contour((LineSegment(left, 0j), LineSegment(0j, right))),
         tilted=tilted,
-        expansion=replace(tilted(rotation), decaying=True),
+        forcing_tails=replace(tilted(rotation), decaying=True),
     )
 
 
@@ -231,8 +222,8 @@ class _Family:
 
 
 def _family(wedge, rotation, split_wedge, **fields) -> _Family:
-    """The family on ``wedge``; its line split puts a subtracted
-    expansion on tails parallel to the rays of the rotated wedge."""
+    """The family on ``wedge``; its line split's forcing tails run
+    parallel to the rays of the rotated wedge."""
     thl, thr = (ray.angle for ray in wedge)
     return _Family(
         rotation=rotation,
@@ -320,29 +311,17 @@ def _grouped(
 
 def _split_term(
     build: Callable[[Callable], Integrand],
-    full: Callable,
-    tail: Callable | None,
+    spatial: Callable,
     split: _Split,
     tails: Contour,
     config: SolverConfig,
 ) -> QuadratureResult:
-    """One term over ``split``: ``full`` on the central piece and on
-    ``tails``.  Given an expansion ``tail`` of ``full``, the untilted
-    tails carry the remainder ``full - tail`` and only ``tail`` goes onto
-    ``tails``."""
-    g = build(full)
-    pieces = [(g, split.central)]
-    if tail is not None:
-        rem = build(lambda lam: full(lam) - tail(lam))
-        remainder = split.tilted(0.0)
-        # the envelope is probed along the outbound remainder ray
-        rem.decay_envelope = power_law_envelope(rem, remainder.segments[1])
-        pieces.append((rem, remainder))
-        g = build(tail)
-    pieces.append((g, tails))
-    # each piece is integrated to the full term tolerance; the reported
-    # error estimate is the (conservative) sum over pieces
-    return sum((integrate(g, c, config.tol, config) for g, c in pieces), ZERO_RESULT)
+    """One term over ``split``: ``spatial`` on the central piece and on
+    ``tails``.  Each piece is integrated to the full term tolerance; the
+    reported error estimate is the (conservative) sum over pieces."""
+    g = build(spatial)
+    central = integrate(g, split.central, config.tol, config)
+    return central + integrate(g, tails, config.tol, config)
 
 
 def _cubic_tilt(u0: DataProfile, t: float) -> float:
@@ -372,12 +351,6 @@ def _cubic_tilt(u0: DataProfile, t: float) -> float:
     return d
 
 
-def _effective_terms(fam: _Family, k: int, m: int) -> int:
-    # keep the subtracted remainder O(lam^{-_TAIL_TERMS-1}) after the
-    # derivative multipliers raise the degree by k + order*m
-    return _TAIL_TERMS + k + fam.order * m
-
-
 def _initial_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig,
     on_wedge: bool,
@@ -395,7 +368,7 @@ def _initial_term(
         return integrate(build(uhat), whole, config.tol, config)
     split = fam.wedge_split if on_wedge else fam.line_split
     tails = split.tilted(_cubic_tilt(p.u0, t))
-    return _split_term(build, uhat, None, split, tails, config)
+    return _split_term(build, uhat, split, tails, config)
 
 
 def _initial_real_term(
@@ -418,39 +391,41 @@ def _boundary_term(
     return integrate(build(fam.boundary_coef), fam.rotated, config.tol, config)
 
 
-def _forcing(fam: _Family, p: ProblemSpec, k: int, m: int, x, t, config) -> tuple:
-    """(build, uhat, sigma) of a forcing term: the grouped kernel of the
-    time factor tp, the transform of the space factor xp and its
-    large-lambda expansion."""
+def _forcing_term(
+    p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig,
+    on_wedge: bool,
+) -> QuadratureResult:
+    """The forcing real-line or wedge term, f = xp(x) tp(t): whole on the
+    rotated wedge (heat wedge), or over the split.  The split's tails are
+    its decaying forcing tails when the transform of xp continues above
+    the real axis and its growth e^{b Im lam} there, b the declared
+    support radius of xp, is outrun by the decay of e^{i lam x} (b < x);
+    otherwise they are the untilted tails, where the transform stays in
+    the closed lower half-plane."""
+    fam = _FAMILIES[p.pde]
     xp, tp = p.f.factors
     build = _integrand(fam, k, x, t, _grouped(fam, tp, m, x, t, config.tol))
-    terms = _effective_terms(fam, k, m)
     uhat = lambda lam: half_line_fourier(xp, lam, config.tol)
-    sigma = lambda lam: tail_expansion(xp, terms, lam)
-    return build, uhat, sigma
+    split = fam.wedge_split if on_wedge else fam.line_split
+    if split is None:
+        return integrate(build(fam.wedge_map(uhat)), fam.rotated, config.tol, config)
+    tilt = xp.transform_upper_ok and (xp.support_radius or 0.0) < x
+    if on_wedge:
+        uhat = fam.wedge_map(uhat, check_domain=not tilt)
+    tails = split.forcing_tails if tilt else split.tilted(0.0)
+    return _split_term(build, uhat, split, tails, config)
 
 
 def _forcing_real_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
-    fam = _FAMILIES[p.pde]
-    build, uhat, sigma = _forcing(fam, p, k, m, x, t, config)
-    split = fam.line_split
-    return _split_term(build, uhat, sigma, split, split.expansion, config)
+    return _forcing_term(p, k, m, x, t, config, on_wedge=False)
 
 
 def _forcing_wedge_term(
     p: ProblemSpec, k: int, m: int, x: float, t: float, config: SolverConfig
 ) -> QuadratureResult:
-    """The forcing wedge term: whole on the rotated wedge (heat), or with
-    the mapped expansion subtracted over the wedge split (cubic)."""
-    fam = _FAMILIES[p.pde]
-    build, uhat, sigma = _forcing(fam, p, k, m, x, t, config)
-    split = fam.wedge_split
-    if split is None:
-        return integrate(build(fam.wedge_map(uhat)), fam.rotated, config.tol, config)
-    full, tail = fam.wedge_map(uhat, check_domain=True), fam.wedge_map(sigma)
-    return _split_term(build, full, tail, split, split.expansion, config)
+    return _forcing_term(p, k, m, x, t, config, on_wedge=True)
 
 
 # ---------------------------------------------------------------------------

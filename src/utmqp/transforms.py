@@ -25,9 +25,9 @@ from the derivatives of u0 at the origin,
     sum_{j=1..M} u0^(j-1)(0) / (i lam)^j,
 
 whose subtraction leaves a remainder O(lam^-(M+1)); the forcing analogue
-``forcing_tail_expansion`` does the same for fhat at fixed t.  These are
-the decay accelerators behind the forcing terms, which
-:mod:`utmqp.solvers` splits at |lambda| = 1.
+``forcing_tail_expansion`` does the same for fhat at fixed t.  No solver
+path subtracts them: :mod:`utmqp.solvers` integrates every forcing
+integrand whole.
 
 A forcing is separable, f = xp(x) tp(t) (``ForcingProfile.factors``), so
 each forcing transform is a transform of xp -- uhat_xp or its tail

@@ -133,20 +133,57 @@ def test_forcing_terms_trace_their_transforms(pde):
             assert (term, name) in seen
 
 
-def test_only_forcing_terms_subtract_an_expansion():
-    # the kdv initial terms tilt their tails and subtract nothing, so an
-    # unforced solve reaches neither the tail expansion nor the remainder's
-    # envelope fit; the forcing terms still subtract
+def test_no_solve_subtracts_an_expansion():
+    # every term integrates its whole integrand, so no solve reaches the
+    # tail expansion or an envelope fit: unforced, forced on the decaying
+    # tails, or forced by a bump reaching past x (the untilted tails)
     zero = builtin_profile("zero")
-    p = ProblemSpec("kdv", builtin_profile("exp_decay", a=1.0), zero, zero_forcing())
-    with tracing.Tracer(tracing.LAYER_TARGETS) as tracer:
-        solvers.solve(p, 1.5, 0.5)
-    unforced = {s.name for s in tracer.spans}
-    assert "quadrature.integrate" in unforced
-    assert not {"transforms.tail_expansion", "quadrature.envelope"} & unforced
-    _, _, tracer = traced_forced_solve("kdv")
-    forced = {s.name for s in tracer.spans}
-    assert {"transforms.tail_expansion", "quadrature.envelope"} <= forced
+    bump = separable_forcing(
+        builtin_profile("bump", a=0.5, b=2.0), builtin_profile("constant", c=1.0)
+    )
+    for pde in ("heat", "kdv"):
+        unforced = ProblemSpec(pde, builtin_profile("exp_decay", a=1.0), zero, zero_forcing())
+        with tracing.Tracer(tracing.LAYER_TARGETS) as tracer:
+            solvers.solve(unforced, 1.5, 0.5)
+            solvers.solve(ProblemSpec(pde, zero, zero, bump), 1.5, 0.5)
+        _, _, forced = traced_forced_solve(pde)
+        for spans in (tracer.spans, forced.spans):
+            names = {s.name for s in spans}
+            assert "quadrature.integrate" in names
+            assert not {"transforms.tail_expansion", "quadrature.envelope"} & names
+
+
+def forcing_truncations(pde, space, x):
+    """The truncation spans of a solve whose only datum is the forcing
+    ``space`` x sin(t), at (x, 0.5)."""
+    zero = builtin_profile("zero")
+    f = separable_forcing(space, builtin_profile("sin_of_t", omega0=1.0))
+    tracer = tracing.Tracer(tracing.LAYER_TARGETS)
+    tracer.label_terms = True
+    with tracer:
+        solvers.solve(ProblemSpec(pde, zero, zero, f), x, 0.5)
+    terms = {s.attrs["term"] for s in tracer.spans if s.name == "quadrature.integrate"}
+    assert terms == {"force_line", "force_wedge"}
+    return [s for s in tracer.spans if s.name == "quadrature.truncation"]
+
+
+@pytest.mark.parametrize("pde", ["heat", "kdv"])
+@pytest.mark.parametrize("space", ["exp_decay", "gaussian"])
+def test_forcing_tails_decay_without_truncation(pde, space):
+    # a space factor whose transform continues above the axis sends the
+    # forcing integrand whole onto the split's decaying tails, where the
+    # double-exponential rule finds its own cutoff
+    assert not forcing_truncations(pde, builtin_profile(space, a=1.0), 1.5)
+
+
+@pytest.mark.parametrize("pde", ["heat", "kdv"])
+def test_bump_reaching_past_x_keeps_the_untilted_tails(pde):
+    # the continued bump transform grows like e^{b Im lam}, which e^{i lam x}
+    # outruns only for x > b: inside the support the tails stay on the
+    # axis and are truncated; outside they tilt
+    bump = builtin_profile("bump", a=0.5, b=2.0)
+    assert forcing_truncations(pde, bump, 1.5)
+    assert not forcing_truncations(pde, bump, 3.0)
 
 
 def test_boundary_term_traces_its_evaluations_without_truncation():

@@ -139,15 +139,15 @@ class TestRotatedWedges:
 
     @pytest.mark.parametrize("pde", ["heat", "kdv"])
     def test_only_exponentially_decaying_pieces_are_marked(self, pde):
-        # the rotated wedge and the expansion tails take the double-
-        # exponential rule; the central pieces, the remainder tails and the
+        # the rotated wedge and the forcing tails take the double-
+        # exponential rule; the central pieces, the untilted tails and the
         # kdv initial tilted tails stay with Gauss-Kronrod
         fam = _FAMILIES[pde]
         assert fam.rotated.decaying
         for split in (fam.line_split, fam.wedge_split):
             if split is None:
                 continue
-            assert split.expansion.decaying
+            assert split.forcing_tails.decaying
             assert not split.central.decaying
             assert not split.tilted(0.0).decaying
             assert not split.tilted(math.pi / 24).decaying

@@ -12,6 +12,7 @@ from utmqp.errors import (
     OutOfDomainError,
     TruncationError,
     UnsupportedOrderError,
+    UtmqpError,
 )
 from conftest import combine_profiles
 from utmqp.profiles import (
@@ -153,9 +154,9 @@ class TestHeatSolver:
             assert solve(p, x, t).value == pytest.approx(exact(x, t), abs=1e-8)
 
     def test_forced_time_derivative_error_estimate_is_honest(self):
-        # the forcing real-line remainder decays like a Gaussian here and
-        # sits at the roundoff floor at every envelope probe radius; a
-        # truncation inside the first probe once lost 4e-5 of u_t
+        # u_t of a forced solve at large x against the tol-1e-12 solve; a
+        # ray cut inside a fitted envelope's first probe once lost 4e-5 of
+        # u_t here
         f = separable_forcing(
             builtin_profile("exp_decay", a=1.0), builtin_profile("constant", c=1.0)
         )
@@ -215,6 +216,47 @@ class TestForcingKernel:
         res = getattr(solvers, term)(p, 0, 0, 1.5, 0.5, DEFAULT_CONFIG)
         assert res.evaluations > 0
         assert sum(points) <= 1.1 * res.evaluations
+
+
+class TestBumpForcing:
+    """A bump space factor reaching past x keeps the forcing terms on the
+    untilted tails; there the whole integrand is integrated, with nothing
+    subtracted."""
+
+    @staticmethod
+    def problem(a, b, tp):
+        zero = builtin_profile("zero")
+        xp = builtin_profile("bump", a=a, b=b)
+        return ProblemSpec("heat", zero, zero, separable_forcing(xp, tp))
+
+    @pytest.mark.parametrize(
+        "tp,x,t",
+        [
+            (("constant", {"c": 1.0}), 1.0, 0.5),
+            (("constant", {"c": 1.0}), 0.3, 2.0),
+            (("gaussian", {"a": 1.0}), 1.0, 0.5),
+        ],
+    )
+    def test_heat_matches_oracle(self, tp, x, t):
+        # subtracting the large-lambda expansion, these were up to 2e-10
+        # off with estimates near 5e-13
+        from utmqp.verification import heat_oracle
+
+        p = self.problem(1.0, 3.0, builtin_profile(tp[0], **tp[1]))
+        s = solve(p, x, t)
+        assert abs(s.value - heat_oracle(p, x, t, tol=1e-13)) <= s.error_estimate + 1e-12
+
+    def test_heat_slope_is_refused_or_within_budget(self):
+        # Richardson extrapolation of central differences of heat_oracle
+        # gives u_x = 0.02899708449; the subtracted route returned
+        # 0.0289727 with an estimate of 1e-12
+        p = self.problem(0.5, 2.0, builtin_profile("constant", c=1.0))
+        try:
+            s = solve_derivative(p, 1, 0, 1.0, 0.5)
+        except UtmqpError as exc:
+            assert str(exc).startswith("_forcing_real_term at (x, t) = (1.0, 0.5)")
+        else:
+            assert abs(s.value - 0.02899708449) <= s.error_estimate + 1e-11
 
 
 class TestKdvSolver:
@@ -549,8 +591,8 @@ class TestValidation:
 
 
 class TestDoubleExponentialPieces:
-    """The boundary term and the forcing expansion tails, integrated by
-    the double-exponential rule.  Down to x = 1e-6 the boundary term
+    """The boundary term and the forcing tails, integrated by the
+    double-exponential rule.  Down to x = 1e-6 the boundary term
     decays only like e^{-x |lam| sin(theta)} / |lam| on the rotated
     wedge; the rule finds its cutoff there."""
 
@@ -597,8 +639,8 @@ class TestDoubleExponentialPieces:
 
     def test_generic_time_forcing_near_the_boundary_is_cheap(self):
         # kdv forcing exp_decay(1) x gaussian(1) in t at (0.2, 1) takes
-        # ~57k evaluations; Gauss-Kronrod on its boundary term and forcing
-        # expansion tails takes ~955k (15 s)
+        # ~3.7k evaluations; Gauss-Kronrod on its boundary term and on the
+        # forcing remainder and expansion tails took ~955k (15 s)
         f = separable_forcing(
             builtin_profile("exp_decay", a=1.0), builtin_profile("gaussian", a=1.0)
         )
