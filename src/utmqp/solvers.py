@@ -50,8 +50,8 @@ Each term is integrated where its integrand genuinely decays:
   and the grouped time factor stays bounded (Re w > 0), so the forcing
   terms put their whole integrand there (the double-exponential rule
   again) when the space factor's transform continues above the axis
-  without outgrowing e^{i lam x}; a compact-support factor reaching past
-  x keeps the untilted tails.  The other pieces are integrated by
+  without growing; a compact-support factor (a bump, whose continuation
+  grows like e^{b Im lam}) keeps the untilted tails.  The other pieces are integrated by
   adaptive Gauss-Kronrod.
 """
 
@@ -398,10 +398,9 @@ def _forcing_term(
     """The forcing real-line or wedge term, f = xp(x) tp(t): whole on the
     rotated wedge (heat wedge), or over the split.  The split's tails are
     its decaying forcing tails when the transform of xp continues above
-    the real axis and its growth e^{b Im lam} there, b the declared
-    support radius of xp, is outrun by the decay of e^{i lam x} (b < x);
-    otherwise they are the untilted tails, where the transform stays in
-    the closed lower half-plane."""
+    the real axis without growing there (no declared support radius);
+    otherwise (a bump) they are the untilted tails, where the transform
+    stays in the closed lower half-plane."""
     fam = _FAMILIES[p.pde]
     xp, tp = p.f.factors
     build = _integrand(fam, k, x, t, _grouped(fam, tp, m, x, t, config.tol))
@@ -409,7 +408,7 @@ def _forcing_term(
     split = fam.wedge_split if on_wedge else fam.line_split
     if split is None:
         return integrate(build(fam.wedge_map(uhat)), fam.rotated, config.tol, config)
-    tilt = xp.transform_upper_ok and (xp.support_radius or 0.0) < x
+    tilt = xp.transform_upper_ok and xp.support_radius is None
     if on_wedge:
         uhat = fam.wedge_map(uhat, check_domain=not tilt)
     tails = split.forcing_tails if tilt else split.tilted(0.0)

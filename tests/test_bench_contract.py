@@ -136,7 +136,7 @@ def test_forcing_terms_trace_their_transforms(pde):
 def test_no_solve_subtracts_an_expansion():
     # every term integrates its whole integrand, so no solve reaches the
     # tail expansion or an envelope fit: unforced, forced on the decaying
-    # tails, or forced by a bump reaching past x (the untilted tails)
+    # tails, or forced by a bump (the untilted tails)
     zero = builtin_profile("zero")
     bump = separable_forcing(
         builtin_profile("bump", a=0.5, b=2.0), builtin_profile("constant", c=1.0)
@@ -177,13 +177,14 @@ def test_forcing_tails_decay_without_truncation(pde, space):
 
 
 @pytest.mark.parametrize("pde", ["heat", "kdv"])
-def test_bump_reaching_past_x_keeps_the_untilted_tails(pde):
-    # the continued bump transform grows like e^{b Im lam}, which e^{i lam x}
-    # outruns only for x > b: inside the support the tails stay on the
-    # axis and are truncated; outside they tilt
+def test_bump_keeps_the_untilted_tails(pde):
+    # the continued bump transform grows like e^{b Im lam}; computed apart
+    # from e^{i lam x} it overflows on the tilted tails even for x > b, so
+    # a bump's tails stay on the axis and are truncated, inside its
+    # support and past it
     bump = builtin_profile("bump", a=0.5, b=2.0)
     assert forcing_truncations(pde, bump, 1.5)
-    assert not forcing_truncations(pde, bump, 3.0)
+    assert forcing_truncations(pde, bump, 3.0)
 
 
 def test_boundary_term_traces_its_evaluations_without_truncation():

@@ -219,9 +219,8 @@ class TestForcingKernel:
 
 
 class TestBumpForcing:
-    """A bump space factor reaching past x keeps the forcing terms on the
-    untilted tails; there the whole integrand is integrated, with nothing
-    subtracted."""
+    """A bump space factor keeps the forcing terms on the untilted tails;
+    there the whole integrand is integrated, with nothing subtracted."""
 
     @staticmethod
     def problem(a, b, tp):
@@ -245,6 +244,17 @@ class TestBumpForcing:
         p = self.problem(1.0, 3.0, builtin_profile(tp[0], **tp[1]))
         s = solve(p, x, t)
         assert abs(s.value - heat_oracle(p, x, t, tol=1e-13)) <= s.error_estimate + 1e-12
+
+    @pytest.mark.parametrize("x", [3.01, 3.1, 4.0])
+    def test_heat_past_the_support_matches_oracle(self, x):
+        # past its support (x > b) the bump stays on the untilted tails:
+        # on tilted tails its transform, computed apart from e^{i lam x},
+        # overflowed at x = 3.01 and the solve raised InvalidContourError
+        from utmqp.verification import heat_oracle
+
+        p = self.problem(1.0, 3.0, builtin_profile("constant", c=1.0))
+        s = solve(p, x, 0.5)
+        assert abs(s.value - heat_oracle(p, x, 0.5, tol=1e-13)) <= s.error_estimate + 1e-12
 
     def test_heat_slope_is_refused_or_within_budget(self):
         # Richardson extrapolation of central differences of heat_oracle
