@@ -2,14 +2,18 @@
 
 Data are closed-form objects with exact derivatives of every order, not
 sampled arrays: the corner-compatibility flags and the large-lambda tail
-expansions consume exact derivatives at the origin, and the half-line
-transforms benefit from closed forms where they exist.
+expansions consume exact derivatives at the origin.
 
-A :class:`DataProfile` plays either role, spatial datum u0(x) or boundary
-datum g0(t).  Optional capability hooks:
+A :class:`DataProfile` is a time datum g0(t) or tp(t); it is also a
+spatial datum u0(x) or xp(x) exactly when it carries a ``transform``.
+Capability hooks:
 
-* ``transform(lam)``          closed-form half-line Fourier transform
-                              integral_0^inf e^{-i lam y} u(y) dy
+* ``transform(lam)``          the half-line Fourier transform
+                              integral_0^inf e^{-i lam y} u(y) dy, the
+                              one uhat the solver uses (closed forms, and
+                              the bump's Gauss-Legendre rule); a profile
+                              without one (constant, exp_of_t, sin_of_t)
+                              serves only in time
 * ``grouped_time_transform(w, t)``   closed form of
                               integral_0^t e^{-w (t - tau)} g(tau) d tau,
   the overflow-safe grouping of e^{-w t} with the time transform.  The
@@ -37,10 +41,6 @@ from scipy.special import wofz
 from .errors import InvalidParameterError
 from .quadrature import _gauss_legendre
 
-SCHWARTZ = "schwartz"
-SMOOTH_BOUNDED = "smooth-bounded"
-
-
 def _phi1(z):
     """(e^z - 1)/z, stable near z = 0."""
     z = np.asarray(z, dtype=complex)
@@ -54,11 +54,11 @@ def _phi1(z):
 class DataProfile:
     """A smooth half-line datum with exact derivative access.
 
-    ``transform_upper_ok`` declares that the half-line transform may be
-    evaluated above the real axis: either the closed form continues there
-    or the profile has compact support, so the defining integral converges
-    for every lambda.  The cubic initial terms tilt their contours into the
-    upper half-plane and need it.
+    ``transform_upper_ok`` declares that ``transform`` is valid above the
+    real axis too: the closed form continues there, or the profile has
+    compact support and its transform is entire.  The cubic initial terms
+    and the tilted forcing tails evaluate it in the upper half-plane and
+    need it.
 
     ``support_radius`` bounds the growth e^{b Im lambda} of the continued
     transform above the real axis.  A continued transform that grows
@@ -69,7 +69,6 @@ class DataProfile:
     name: str
     evaluator: Callable
     derivative_evaluator: Callable  # (order k, point) -> value
-    decay_class: str = SCHWARTZ
     transform: Optional[Callable] = None
     grouped_time_transform: Optional[Callable] = None
     transform_upper_ok: bool = False
@@ -93,8 +92,9 @@ class DataProfile:
 
 @dataclass
 class ForcingProfile:
-    """Separable forcing f(x, t) = xp(x) tp(t), Schwartz in x uniformly on
-    compact t sets; ``factors`` is the pair (xp, tp)."""
+    """Separable forcing f(x, t) = xp(x) tp(t); ``factors`` is the pair
+    (xp, tp).  A nonzero forcing's xp must be a spatial profile (one with a
+    ``transform``), which :class:`ProblemSpec` checks."""
 
     factors: tuple
 
@@ -313,7 +313,6 @@ def _constant(c: float) -> DataProfile:
         name="constant",
         evaluator=lambda x: np.full_like(np.asarray(x, dtype=float), c),
         derivative_evaluator=lambda k, x: np.zeros_like(np.asarray(x, dtype=float)),
-        decay_class=SMOOTH_BOUNDED,
         grouped_time_transform=grouped,
         params={"c": c},
     )
@@ -324,7 +323,6 @@ def _exp_of_t(a: float) -> DataProfile:
         name="exp_of_t",
         evaluator=lambda t: np.exp(a * t),
         derivative_evaluator=lambda k, t: a**k * np.exp(a * t),
-        decay_class=SMOOTH_BOUNDED,
         grouped_time_transform=_exp_of_t_complex(a),
         params={"a": a},
     )
@@ -342,7 +340,6 @@ def _sin_of_t(omega0: float) -> DataProfile:
         evaluator=lambda t: np.sin(omega0 * t),
         derivative_evaluator=lambda k, t: omega0**k
         * np.sin(omega0 * t + k * math.pi / 2.0),
-        decay_class=SMOOTH_BOUNDED,
         grouped_time_transform=grouped,
         params={"omega0": omega0},
     )
@@ -464,6 +461,15 @@ def check_compatibility(problem: "ProblemSpec") -> tuple[bool, bool]:
     return first, second
 
 
+def _require_spatial(role: str, profile: DataProfile):
+    """A spatial datum is a profile with a half-line transform."""
+    if profile.transform is None:
+        raise InvalidParameterError(
+            f"the {role} must be a spatial profile (one with a half-line "
+            f"transform); {profile.name!r} has none"
+        )
+
+
 @dataclass
 class ProblemSpec:
     """A quarter-plane problem: PDE selector plus the data triple."""
@@ -477,10 +483,9 @@ class ProblemSpec:
     def __post_init__(self):
         if self.pde not in ("heat", "kdv"):
             raise InvalidParameterError(f"pde must be 'heat' or 'kdv', got {self.pde!r}")
-        if self.u0.decay_class != SCHWARTZ and not self.u0.is_zero():
-            raise InvalidParameterError(
-                "initial datum must decay (schwartz class) or be zero"
-            )
+        _require_spatial("initial datum u0", self.u0)
+        if not self.f.is_zero():
+            _require_spatial("forcing space factor xp", self.f.factors[0])
         self.corner_compatibility = check_compatibility(self)
 
     def to_dict(self) -> dict:

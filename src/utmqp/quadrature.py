@@ -25,9 +25,9 @@ The engine integrates complex-valued integrands along the contours of
     a local phase-density |d(phase)/d(lambda)|; panels are pre-split so
     the accumulated phase per panel stays below a cap, which keeps the
     G7/K15 error estimate honest without adaptive thrash.
-  - Principled ray truncation.  Infinite rays are cut at a radius R
-    certified either from a caller-supplied decay envelope (tail
-    integral below tol/10) or by a probe-doubling fallback.
+  - Ray truncation by probe doubling.  Infinite rays are cut at the
+    first radius R from which |integrand| stays below tol/(10 R) at three
+    consecutive doublings.
 
 Evaluators must be vectorized: they receive an ndarray of contour points
 and return an ndarray of integrand values.
@@ -128,17 +128,14 @@ def _gauss_legendre(n: int):
 
 @dataclass
 class Integrand:
-    """A complex integrand with optional decay/oscillation metadata.
+    """A complex integrand with optional oscillation metadata.
 
     evaluator        vectorized map ndarray[complex] -> ndarray[complex]
-    decay_envelope   optional upper bound for |evaluator(lambda(s))| as a
-                     function of the ray parameter s (used for truncation)
     phase_density    optional |d(phase)/d(lambda)| estimate, vectorized,
                      used to pre-split panels on oscillatory stretches
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    decay_envelope: Optional[Callable[[float], float]] = None
     phase_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, lam: np.ndarray) -> np.ndarray:
@@ -168,50 +165,12 @@ def ray_truncation(
     tol: float,
     r_max: float = _R_MAX,
 ) -> float:
-    """Truncation radius R for an infinite ray.
-
-    With a decay envelope E(s): find R such that the estimated tail
-    integral E(R)/c(R) (c the local exponential rate of E, floored at 1/R)
-    is below tol/10, bracketing by doubling and tightening by bisection.
-
-    Without an envelope: double R until |g| is below tol/(10 R) at three
-    consecutive probe radii; probing uses the max of |g| at three nearby
-    points to dodge accidental zeros of oscillatory integrands.
+    """Truncation radius R for an infinite ray: double R until |g| is
+    below tol/(10 R) at three consecutive probe radii.  Probing uses the
+    max of |g| at three nearby points to dodge accidental zeros of
+    oscillatory integrands.
     """
     threshold = tol / 10.0
-
-    if g.decay_envelope is not None:
-        env = g.decay_envelope
-
-        def tail(r: float) -> float:
-            e0 = env(r)
-            if e0 <= 0.0 or e0 == math.inf:
-                return e0
-            e1 = env(r * 1.01)
-            rate = 0.0
-            if e1 > 0.0 and e1 < e0:
-                rate = math.log(e0 / e1) / (0.01 * r)
-            rate = max(rate, 1.0 / r)
-            return e0 / rate
-
-        r, certified = 1.0, True
-        while tail(r) > threshold:
-            r *= 2.0
-            if r > r_max:
-                certified = False  # envelope too pessimistic; try probes
-                break
-        if certified:
-            lo, hi = r / 2.0, r
-            if tail(lo) <= threshold:
-                hi = lo
-                lo = max(lo / 2.0, 1e-3)
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if tail(mid) > threshold:
-                    lo = mid
-                else:
-                    hi = mid
-            return hi
 
     def probe(r: float) -> float:
         s = np.array([r, r * 1.043, r * 1.107])
@@ -242,15 +201,16 @@ _ENVELOPE_PROBES = (4.0, 8.0, 16.0, 32.0)
 
 
 def power_law_envelope(g: Integrand, ray: Ray) -> Optional[Callable[[float], float]]:
-    """Calibrate a C*s^-p envelope for an algebraically decaying tail by
-    probing |g| along the ray at ``_ENVELOPE_PROBES``; the fitted bound is
-    inflated by 2x.  It is infinite inside the first probe radius, where
-    the fit says nothing: a fast-decaying tail can sit at the roundoff
-    floor at every probe.
+    """Calibrate a C*s^-p bound on |g| along the ray by probing it at
+    ``_ENVELOPE_PROBES``; the fitted bound is inflated by 2x.  It is
+    infinite inside the first probe radius, where the fit says nothing: a
+    fast-decaying tail can sit at the roundoff floor at every probe.
 
     Returns None when no usable power law emerges (p <= 1.05, or decay
-    faster than the probes can pin down); callers then fall back to the
-    probe-doubling truncation rule, which handles superalgebraic decay.
+    faster than the probes can pin down).
+
+    No solve calls it: it stays only because the benchmark's tracer binds
+    the name on :mod:`utmqp.solvers` (ROADMAP item 2 removes both).
     """
 
     def probe(r: float) -> float:

@@ -360,7 +360,7 @@ def _initial_term(
     ``_cubic_tilt`` (cubic)."""
     fam = _FAMILIES[p.pde]
     build = _integrand(fam, k, x, t, _decay(fam, m, x, t))
-    uhat = lambda lam: half_line_fourier(p.u0, lam, config.tol)
+    uhat = lambda lam: half_line_fourier(p.u0, lam)
     if on_wedge:
         uhat = fam.wedge_map(uhat)
     if fam.wedge_split is None:
@@ -404,7 +404,7 @@ def _forcing_term(
     fam = _FAMILIES[p.pde]
     xp, tp = p.f.factors
     build = _integrand(fam, k, x, t, _grouped(fam, tp, m, x, t, config.tol))
-    uhat = lambda lam: half_line_fourier(xp, lam, config.tol)
+    uhat = lambda lam: half_line_fourier(xp, lam)
     split = fam.wedge_split if on_wedge else fam.line_split
     if split is None:
         return integrate(build(fam.wedge_map(uhat)), fam.rotated, config.tol, config)

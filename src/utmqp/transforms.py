@@ -1,12 +1,16 @@
 """Spectral transforms of the problem data.
 
-Conventions (lambda complex, Im lambda <= 0 unless a closed form
-continues further):
+Conventions (lambda complex, Im lambda <= 0 unless the profile's
+transform continues further):
 
     uhat(lam)      = integral_0^inf e^{-i lam y} u0(y) dy
     fhat(lam, t)   = integral_0^inf e^{-i lam y} f(y, t) dy
     gtilde(w, t)   = integral_0^t e^{+w tau} g0(tau) d tau
     ftilde(lam, w, t) = integral_0^t e^{+w tau} fhat(lam, tau) d tau
+
+uhat is always the profile's own ``transform``: the closed forms, or the
+bump's Gauss-Legendre rule over its support.  A spatial datum is a
+profile with a transform; there is no generic half-line quadrature.
 
 The time transforms appear in the solution formulas only in the grouped
 combination e^{-w t} * gtilde(w, t) = integral_0^t e^{-w (t-tau)} g0 d tau,
@@ -42,22 +46,9 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .errors import AccuracyError, OutOfDomainError, SingularArgumentError
+from .errors import OutOfDomainError, SingularArgumentError
 from .profiles import DataProfile, ForcingProfile
 from .quadrature import _gauss_legendre
-
-
-def support_radius(func, tol: float) -> float:
-    """Radius beyond which the vectorized half-line function ``func`` stays
-    below tol/10, by probe doubling.  Raises OutOfDomainError when it does
-    not decay."""
-    x = 2.0
-    while x < 1e6:
-        probe = np.abs(func(np.array([x, 1.3 * x, 1.7 * x])))
-        if np.all(probe < tol / 10.0):
-            return 1.7 * x
-        x *= 2.0
-    raise OutOfDomainError("profile does not appear to decay")
 
 
 def _time_panels(w_arr, t: float):
@@ -78,52 +69,21 @@ def _time_panels(w_arr, t: float):
         yield 0.5 * (b - a) * (nodes + 1.0) + a, 0.5 * (b - a) * weights
 
 
-def _quadrature_half_line(func, lam_arr, tol: float):
-    """integral_0^inf e^{-i lam y} func(y) dy for Im lam <= 0, cut at the
-    support radius of ``func``, by composite Gauss-Legendre with
-    refinement."""
-    x_max = support_radius(func, tol)
+def half_line_fourier(u0: DataProfile, lam):
+    """uhat(lam) for Im lam <= 0, or anywhere the profile's transform
+    continues it (``transform_upper_ok``).
 
-    def samples(y):
-        # (n_lam, n_y) sample matrix; e^{-i lam y} bounded for Im lam <= 0
-        return np.exp(-1j * np.outer(lam_arr, y)) * np.asarray(func(y))[None, :]
-
-    def rule(n):
-        nodes, weights = _gauss_legendre(n)
-        w = 0.5 * x_max * weights
-        return samples(0.5 * x_max * (nodes + 1.0)) @ w.astype(complex)
-
-    coarse = rule(64)
-    for n in (128, 256, 512, 1024):
-        fine = rule(n)
-        gap = np.abs(fine - coarse)
-        if np.all(gap <= tol):
-            return fine
-        coarse = fine
-    raise AccuracyError(
-        f"half_line_fourier: the {n}-node rule has not converged at "
-        f"|lambda| up to {np.max(np.abs(lam_arr)):.3g}: last |fine - coarse| "
-        f"{np.max(gap):.3g} > tol {tol:.3g}"
-    )
-
-
-def half_line_fourier(u0: DataProfile, lam, tol: float | None = None):
-    """uhat(lam) for Im lam <= 0, or anywhere a closed form continues it.
-
-    Accepts a scalar or an ndarray of spectral points.
+    Every spatial datum carries its own transform; a profile without one
+    (a time-only profile) raises OutOfDomainError.  Accepts a scalar or an
+    ndarray of spectral points.
     """
-    tol = DEFAULT_CONFIG.tol if tol is None else tol
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
-    if u0.transform is not None:
-        out = np.asarray(u0.transform(lam_arr), dtype=complex)
-        return out if np.ndim(lam) else complex(out[0])
-    above_axis = np.any(lam_arr.imag > 1e-9 * (1.0 + np.abs(lam_arr)))
-    if above_axis and not u0.transform_upper_ok:
+    if u0.transform is None:
         raise OutOfDomainError(
-            "half-line transform requested for Im lambda > 0 and the profile "
-            "has no continuation there"
+            f"profile {u0.name!r} has no half-line transform: it is not a "
+            "spatial datum"
         )
-    out = _quadrature_half_line(u0, lam_arr, tol)
+    lam_arr = np.atleast_1d(np.asarray(lam, dtype=complex))
+    out = np.asarray(u0.transform(lam_arr), dtype=complex)
     return out if np.ndim(lam) else complex(out[0])
 
 
@@ -172,10 +132,10 @@ def grouped_time_transform(g0: DataProfile, w, t: float, tol: float | None = Non
     return out if np.ndim(w) else complex(out[0])
 
 
-def forcing_transform(f: ForcingProfile, lam, t: float, tol: float | None = None):
+def forcing_transform(f: ForcingProfile, lam, t: float):
     """fhat(lam, t) = uhat_xp(lam) tp(t), vectorized over lam."""
     xp, tp = f.factors
-    return half_line_fourier(xp, lam, tol) * tp(t)
+    return half_line_fourier(xp, lam) * tp(t)
 
 
 def _times_grouped_tp(spatial, tp: DataProfile, w, t: float, tol):
@@ -194,7 +154,7 @@ def grouped_forcing_time_transform(
     lam and w must broadcast against each other.
     """
     xp, tp = f.factors
-    return _times_grouped_tp(half_line_fourier(xp, lam, tol), tp, w, t, tol)
+    return _times_grouped_tp(half_line_fourier(xp, lam), tp, w, t, tol)
 
 
 def forcing_tail_expansion(f: ForcingProfile, terms: int, lam, t: float):

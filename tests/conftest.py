@@ -1,4 +1,4 @@
-from utmqp.profiles import SCHWARTZ, SMOOTH_BOUNDED, DataProfile
+from utmqp.profiles import DataProfile
 
 ACCEPTANCE_LINES = []
 
@@ -29,15 +29,11 @@ def combine_profiles(ca: float, pa: DataProfile, cb: float, pb: DataProfile) -> 
         lambda w, t: ca * pa.grouped_time_transform(w, t)
         + cb * pb.grouped_time_transform(w, t),
     )
-    decay = SCHWARTZ
-    if SMOOTH_BOUNDED in (pa.decay_class, pb.decay_class):
-        decay = SMOOTH_BOUNDED
     return DataProfile(
         name=f"combo({pa.name},{pb.name})",
         evaluator=lambda x: ca * pa(x) + cb * pb(x),
         derivative_evaluator=lambda k, x: ca * pa.derivative(k, x)
         + cb * pb.derivative(k, x),
-        decay_class=decay,
         transform=transform,
         grouped_time_transform=grouped,
         params={},

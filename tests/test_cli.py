@@ -91,6 +91,20 @@ class TestSolveCommand:
         assert result.exit_code == 2
         assert "line 2" in result.output
 
+    def test_time_only_space_factor_is_a_bad_spec(self, runner, tmp_path):
+        forced = dict(HEAT_FORCED, f={"name": "separable",
+                                      "x": {"name": "exp_of_t", "a": -1.0},
+                                      "t": {"name": "constant", "c": 1.0}})
+        problem = write_problem(tmp_path, forced)
+        result = runner.invoke(
+            main,
+            ["solve", "--problem", problem, "--grid", "0.5:1:2,0.5:1:2",
+             "--out", str(tmp_path / "f.csv")],
+        )
+        assert result.exit_code == 2
+        assert "bad problem spec" in result.output
+        assert "exp_of_t" in result.output
+
     def test_determinism(self, runner, tmp_path):
         problem = write_problem(tmp_path, HEAT_PROBLEM)
         outs = []

@@ -27,6 +27,13 @@ ALL_NAMES = [
     ("zero", {}),
 ]
 
+# the built-ins without a half-line transform
+TIME_ONLY = [
+    ("constant", {"c": 1.0}),
+    ("exp_of_t", {"a": -1.0}),
+    ("sin_of_t", {"omega0": 1.0}),
+]
+
 EXP = {"name": "exp_decay", "a": 1.0}
 EXP_T = {"name": "exp_of_t", "a": -1.0}
 GAUSS = {"name": "gaussian", "a": 1.0}
@@ -286,13 +293,32 @@ class TestProblemSerialization:
         assert problem_from_dict(p.to_dict()).to_dict() == p.to_dict()
 
     def test_rejects_non_decaying_initial_datum(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="initial datum u0.*'constant'"):
             ProblemSpec(
                 "heat",
                 builtin_profile("constant", c=1.0),
                 builtin_profile("zero"),
                 zero_forcing(),
             )
+
+    @pytest.mark.parametrize("pde", ["heat", "kdv"])
+    @pytest.mark.parametrize("name,params", TIME_ONLY)
+    def test_time_only_profile_is_no_forcing_space_factor(self, pde, name, params):
+        # a spatial datum is a profile with a half-line transform; the
+        # time-only profiles serve only as time factors
+        xp = builtin_profile(name, **params)
+        tp = builtin_profile("constant", c=1.0)
+        zero = builtin_profile("zero")
+        with pytest.raises(InvalidParameterError, match=f"space factor xp.*'{name}'"):
+            ProblemSpec(pde, zero, zero, separable_forcing(xp, tp))
+        # as the time factor the same profile is accepted
+        gauss = builtin_profile("gaussian", a=1.0)
+        ProblemSpec(pde, zero, zero, separable_forcing(gauss, xp))
+
+    def test_zero_forcing_accepts_any_space_factor(self):
+        zero = builtin_profile("zero")
+        f = separable_forcing(builtin_profile("constant", c=1.0), zero)
+        assert ProblemSpec("heat", zero, zero, f).f.is_zero()
 
     def test_rejects_unknown_pde(self):
         with pytest.raises(InvalidParameterError):

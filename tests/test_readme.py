@@ -1,5 +1,5 @@
 """The README's library example imports only names the package exports,
-and the CLI flags it names exist."""
+the CLI flags it names exist, and its profile lists match the built-ins."""
 
 import ast
 import pathlib
@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 import utmqp
 from utmqp.cli import main
+from utmqp.profiles import _BUILTINS, builtin_profile
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +40,21 @@ def test_numerical_knob_flags_exist():
     result = CliRunner().invoke(main, ["solve", "--help"])
     assert result.exit_code == 0
     assert [f for f in flags if f not in result.output] == []
+
+
+def readme_profile_list(kind: str) -> set:
+    text = README.read_text(encoding="utf-8")
+    entry = text.split(f"* {kind} profiles:", 1)[1]
+    entry = entry.split("\n*", 1)[0].split("\n\n", 1)[0]
+    return set(re.findall(r"`([a-z_]+)(?:\(|`)", entry))
+
+
+def test_profile_lists_split_as_the_builtins():
+    # a spatial profile is one with a half-line transform
+    spatial, time_only = set(), set()
+    for name, (_, keys) in _BUILTINS.items():
+        params = {key: float(i + 1) for i, key in enumerate(keys)}
+        has_transform = builtin_profile(name, **params).transform is not None
+        (spatial if has_transform else time_only).add(name)
+    assert readme_profile_list("Spatial") == spatial
+    assert readme_profile_list("Time-only") == time_only

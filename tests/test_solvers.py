@@ -185,12 +185,14 @@ class TestHeatSolver:
         assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate
 
     def test_nondecaying_forcing_is_rejected(self):
+        # a space factor without a half-line transform is refused when the
+        # problem is built, not at solve time
         constant = builtin_profile("constant", c=1.0)
         f = separable_forcing(constant, constant)
+        zero = builtin_profile("zero")
         for pde in ("heat", "kdv"):
-            p = ProblemSpec(pde, builtin_profile("zero"), builtin_profile("zero"), f)
-            with pytest.raises(OutOfDomainError):
-                solve(p, 1.0, 0.5)
+            with pytest.raises(InvalidParameterError):
+                ProblemSpec(pde, zero, zero, f)
 
 
 class TestForcingKernel:
